@@ -16,8 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import _solve_normal_2x2, amplitude_ls, build_atoms
-from .model import SignalModel, SinusoidParams, sinusoid_samples
+from .estimator import (
+    _measure_phasors,
+    _measured_atoms,
+    _phasors,
+    amplitude_ls,
+    build_atoms,
+)
+from .model import SignalModel, SinusoidParams
 from .sensing import Measurement, SensingMatrix
 
 __all__ = [
@@ -28,6 +34,10 @@ __all__ = [
     "grid_oracle_batch",
     "bomp_recover",
 ]
+
+# Grid nodes per grid_oracle_batch chunk: sets the size of the fixed phasor
+# block and of every per-chunk GEMM operand.
+_SCAN_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -95,17 +105,8 @@ class BompConfig:
             raise ValueError(f"frame_c must be >= 1, got {self.frame_c}")
 
 
-def _stack_atoms(phi: SensingMatrix, frequencies) -> np.ndarray:
-    """M x 2K matrix of measured (sin, cos) pairs at the given frequencies."""
-    cols = []
-    for w in frequencies:
-        sin_w, cos_w = sinusoid_samples(float(w), phi.n_cols)
-        cols.append(phi.entries @ sin_w)
-        cols.append(phi.entries @ cos_w)
-    return np.column_stack(cols)
-
-
 def _params_from_coef(frequencies, coef) -> tuple[SinusoidParams, ...]:
+    """Components from coefficients ordered (cos_1, sin_1, cos_2, sin_2, ...)."""
     comps = []
     for idx, w in enumerate(frequencies):
         w = float(w)
@@ -115,8 +116,8 @@ def _params_from_coef(frequencies, coef) -> tuple[SinusoidParams, ...]:
             w = math.nextafter(0.0, 1.0)
         elif w >= math.pi:
             w = math.nextafter(math.pi, 0.0)
-        a1 = float(coef[2 * idx])
-        a2 = float(coef[2 * idx + 1])
+        a1 = float(coef[2 * idx + 1])  # sine coefficient
+        a2 = float(coef[2 * idx])  # cosine coefficient
         comps.append(SinusoidParams.from_linear(w, a1, a2))
     return tuple(comps)
 
@@ -144,7 +145,8 @@ def oracle_ls(phi: SensingMatrix, m: Measurement, true_frequencies) -> SignalMod
         raise ValueError(f"measurement length {len(m.values)} != matrix m={phi.m_rows}")
     if not freqs:
         return SignalModel(components=(), n_samples=phi.n_cols)
-    a = _stack_atoms(phi, freqs)
+    # M x 2K, columns interleaved (cos_1, sin_1, cos_2, sin_2, ...)
+    a = _measured_atoms(phi.entries, freqs).reshape(phi.m_rows, -1)
     coef, _, rank, _ = np.linalg.lstsq(a, m.values, rcond=None)
     if rank < a.shape[1]:
         raise ValueError(
@@ -165,17 +167,47 @@ def grid_oracle(phi: SensingMatrix, r: np.ndarray, grid_size: int) -> tuple[floa
     return float(omegas[0]), float(s_vals[0])
 
 
+def _orthonormal_pairs(w: np.ndarray, tol: float) -> np.ndarray:
+    """Orthonormal basis of each measured (cos, sin) pair in ``w`` (M x C x 2).
+
+    Regular pairs get Gram-Schmidt from the cosine column, so the captured
+    energy of a residual r is (q0 . r)^2 + (q1 . r)^2.  Degenerate pairs
+    (Gram determinant at most tol * trace^2, e.g. omega at 0 or pi where
+    the sine column vanishes) keep only their dominant column, normalized:
+    the rank-1 gain b_dom^2 / g_dom.  A zero dominant column gains nothing.
+    """
+    v, u = w[..., 0], w[..., 1]
+    gvv, guu = np.einsum("mki,mki->ik", w, w)
+    guv = np.einsum("ij,ij->j", u, v)
+    trace = gvv + guu
+    regular = gvv * guu - guv * guv > tol * trace * trace
+    q = np.empty_like(w)
+    inv_v = 1.0 / np.sqrt(np.where(regular, gvv, 1.0))
+    np.multiply(v, inv_v, out=q[..., 0])
+    np.multiply(q[..., 0], -(guv * inv_v), out=q[..., 1])
+    q[..., 1] += u
+    norm1 = np.einsum("ij,ij->j", q[..., 1], q[..., 1])
+    q[..., 1] *= 1.0 / np.sqrt(np.where(regular, norm1, 1.0))
+    for idx in np.nonzero(~regular)[0]:
+        g_dom, col = (guu[idx], u[:, idx]) if guu[idx] >= gvv[idx] else (gvv[idx], v[:, idx])
+        q[:, idx, 0] = col / math.sqrt(g_dom) if g_dom > 0 else 0.0
+        q[:, idx, 1] = 0.0
+    return q
+
+
 def grid_oracle_batch(
-    phi: SensingMatrix, residuals: np.ndarray, grid_size: int, chunk: int = 2048
+    phi: SensingMatrix, residuals: np.ndarray, grid_size: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized :func:`grid_oracle` over the columns of ``residuals``.
 
-    Shares the trigonometric grid work across residual columns and builds
-    the sine/cosine tables by phase rotation (one complex multiply per
-    sample instead of two transcendental calls), which is what makes
-    million-point scans affordable on one core.  Returns per-column arrays
-    (omega, s_omega); the reported s_omega is re-evaluated directly at the
-    winning frequency.
+    The grid omega_i = i * delta is scanned in chunks of ``_SCAN_CHUNK``
+    nodes.  One fixed block V[t, k] = exp(i k delta t) is built once, and
+    chunk j's phasors are V with each row t rotated by exp(i alpha_j t),
+    alpha_j the chunk's first node: one broadcast multiply per chunk and
+    no per-chunk trigonometry.  Each chunk's measured pairs are
+    orthonormalized, so scoring every residual column is one GEMM and two
+    elementwise passes.  Returns per-column arrays (omega, s_omega); the
+    reported s_omega is re-evaluated directly at the winning frequency.
     """
     if grid_size < 2:
         raise ValueError(f"grid_size must be >= 2, got {grid_size}")
@@ -191,54 +223,30 @@ def grid_oracle_batch(
     n_batch = residuals.shape[1]
     n = phi.n_cols
     omegas = np.linspace(0.0, math.pi, grid_size)
+    delta = math.pi / (grid_size - 1)
+    chunk = min(_SCAN_CHUNK, grid_size)
+    block = _phasors(delta * np.arange(chunk), n)
     # best captured energy per column; larger gain means smaller error, and
     # strict ">" keeps the lowest grid index on ties
     best_gain = np.full(n_batch, -np.inf)
     best_omega = np.zeros(n_batch)
     cols = np.arange(n_batch)
-    tile = np.empty((n, chunk), dtype=complex)
-    sin_t = np.empty((n, chunk))
-    cos_t = np.empty((n, chunk))
+    residuals_t = np.ascontiguousarray(residuals.T)
+    tile = np.empty_like(block)
     for start in range(0, grid_size, chunk):
-        w = omegas[start : start + chunk]
-        c = w.size
-        # exp(i*w*t) for t = 1..n via cumulative rotation; drift is O(n*eps)
-        # and the winner is re-evaluated exactly below
-        tile[:, :c] = np.exp(1j * w)[None, :]
-        np.cumprod(tile[:, :c], axis=0, out=tile[:, :c])
-        # contiguous copies: BLAS rejects the strided real/imag views
-        np.copyto(sin_t[:, :c], tile[:, :c].imag)
-        np.copyto(cos_t[:, :c], tile[:, :c].real)
-        u = phi.entries @ sin_t[:, :c]
-        v = phi.entries @ cos_t[:, :c]
-        g00 = np.einsum("ij,ij->j", u, u)
-        g01 = np.einsum("ij,ij->j", u, v)
-        g11 = np.einsum("ij,ij->j", v, v)
-        b0 = u.T @ residuals
-        b1 = v.T @ residuals
-        det = g00 * g11 - g01 * g01
-        trace = g00 + g11
-        regular = det > 1e-12 * trace * trace
-        inv_det = 1.0 / np.where(regular, det, 1.0)
-        # captured energy (g11 b0^2 - 2 g01 b0 b1 + g00 b1^2)/det at the
-        # normal-equation solution; s_omega = ||r||^2 - gain
-        gain = g11[:, None] * np.square(b0)
-        gain -= (2.0 * g01)[:, None] * (b0 * b1)
-        gain += g00[:, None] * np.square(b1)
-        gain *= inv_det[:, None]
-        if not regular.all():
-            # degenerate atoms (omega near 0 or pi): rank-1 gain on the
-            # dominant column
-            for idx in np.nonzero(~regular)[0]:
-                if g00[idx] >= g11[idx]:
-                    gain[idx] = np.square(b0[idx]) / g00[idx] if g00[idx] > 0 else 0.0
-                else:
-                    gain[idx] = np.square(b1[idx]) / g11[idx] if g11[idx] > 0 else 0.0
-        j = np.argmax(gain, axis=0)
-        g_max = gain[j, cols]
+        c = min(chunk, grid_size - start)
+        rotation = _phasors(np.array([start * delta]), n)
+        np.multiply(rotation, block[:, :c], out=tile[:, :c])
+        w = _measure_phasors(phi.entries, tile[:, :c])
+        q = _orthonormal_pairs(w, 1e-12)
+        z = residuals_t @ q.reshape(phi.m_rows, 2 * c)
+        np.square(z, out=z)
+        gain = z[:, 0::2] + z[:, 1::2]
+        j = np.argmax(gain, axis=1)
+        g_max = gain[cols, j]
         better = g_max > best_gain
         best_gain = np.where(better, g_max, best_gain)
-        best_omega = np.where(better, w[j], best_omega)
+        best_omega = np.where(better, omegas[start + j], best_omega)
 
     s_exact = np.empty(n_batch)
     for col in range(n_batch):
@@ -266,13 +274,8 @@ def bomp_recover(phi: SensingMatrix, m: Measurement, cfg: BompConfig) -> SignalM
     if cfg.k == 0:
         return SignalModel(components=(), n_samples=n)
 
-    t = np.arange(1, n + 1, dtype=float)
-    args = np.outer(t, cand)
-    u = phi.entries @ np.sin(args)
-    v = phi.entries @ np.cos(args)
-    g00 = np.einsum("ij,ij->j", u, u)
-    g01 = np.einsum("ij,ij->j", u, v)
-    g11 = np.einsum("ij,ij->j", v, v)
+    w = _measured_atoms(phi.entries, cand)
+    q = _orthonormal_pairs(w, 1e-12).reshape(phi.m_rows, -1)
 
     allowed = np.ones(cand.size, dtype=bool)
     selected: list[int] = []
@@ -286,15 +289,13 @@ def bomp_recover(phi: SensingMatrix, m: Measurement, cfg: BompConfig) -> SignalM
                 stacklevel=2,
             )
             break
-        b0 = u.T @ r
-        b1 = v.T @ r
-        a1, a2 = _solve_normal_2x2(g00, g01, g11, b0, b1, 1e-12)
-        gain = a1 * b0 + a2 * b1  # energy captured by each candidate pair
+        z = np.square(q.T @ r)
+        gain = z[0::2] + z[1::2]  # energy captured by each candidate pair
         gain = np.where(allowed, gain, -np.inf)
         pick = int(np.argmax(gain))
         selected.append(pick)
         allowed &= np.abs(cand - cand[pick]) >= band_radius
-        a_sel = np.column_stack([np.column_stack((u[:, i], v[:, i])) for i in selected])
+        a_sel = w[:, selected, :].reshape(phi.m_rows, -1)
         coef, _, _, _ = np.linalg.lstsq(a_sel, m.values, rcond=None)
         r = m.values - a_sel @ coef
 

@@ -187,7 +187,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    """Time each method at a single operating point and print mean seconds."""
+    """Time each method at a single operating point and print mean and median seconds."""
     spec = ExperimentSpec(
         sweep_axis="m",
         sweep_values=(float(args.m),),
@@ -205,6 +205,7 @@ def cmd_bench(args) -> int:
     table = {
         meth: {
             "mean_time_s": stats["mean_time_s"],
+            "median_time_s": stats["median_time_s"],
             "mean_error": stats["mean_error"],
             "trials": stats["trials"],
         }

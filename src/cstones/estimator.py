@@ -12,6 +12,11 @@ an iterative grid search over [0, pi] that repeatedly re-grids the bracket
 around the best candidate ("frequency range refinement").  The bracket
 shrinks by a factor of at most 2/grid_points per round, so a handful of
 rounds reaches the frequency tolerance.
+
+Each round measures the atom pairs of all its grid nodes at once through
+one factored phasor kernel (``_measured_atoms``), which the baselines share.
+The first round's full-band table depends only on Phi and the grid size,
+so it is built once per matrix and reused by every later full-band call.
 """
 
 from __future__ import annotations
@@ -147,20 +152,112 @@ def amplitude_ls(
     return a1, a2, float(res @ res)
 
 
-def _grid_eval(phi_entries, t, r, omegas, tol):
-    """Vectorized amplitude solve and squared error over a frequency grid."""
-    args = np.outer(t, omegas)
-    u = phi_entries @ np.sin(args)
-    v = phi_entries @ np.cos(args)
+def _phasors(omegas: np.ndarray, n: int) -> np.ndarray:
+    """The n x K complex table exp(i * omegas[k] * t) for t = 1..n, by factoring.
+
+    With S = ceil(sqrt(n)) every sample time writes uniquely as
+    t = S*a + b + 1 with 0 <= b < S, so
+
+        exp(i w t) = exp(i w (S a + 1)) * exp(i w b).
+
+    The head table exp(i w (S a + 1)) has ceil(n/S) rows and the tail table
+    exp(i w b) has S rows; both are running products of exp(i w S) and
+    exp(i w).  Per frequency that is two cos/sin pairs and about 2*sqrt(n)
+    complex multiplies instead of n cos/sin pairs, and one broadcast
+    multiply of head and tail then fills the n x K table (the chirp-z /
+    Vandermonde factoring of Rabiner, Schafer and Rader, 1969).  The nodes
+    ``omegas`` need not be uniform.
+
+    Accuracy: the seed exp(i w S) is a correctly rounded cos/sin of the
+    argument w*S, itself rounded with relative error eps, so its phase is
+    off by about eps*w*S; its a-th power in the running product carries
+    a*eps*w*S plus one rounding per multiply, at most about eps*(pi*n +
+    2*sqrt(n)) in all.  The tail and the final multiply add O(sqrt(n)*eps).
+    The error is O(eps*n) per entry, the same order as evaluating
+    sin(w*t) directly from the rounded product w*t.
+    """
+    step = math.isqrt(n - 1) + 1
+    rows = -(-n // step)
+    args = np.multiply.outer(np.array([1.0, step]), omegas)
+    seeds = np.empty(args.shape, dtype=complex)
+    np.cos(args, out=seeds.real)
+    np.sin(args, out=seeds.imag)
+    head = np.empty((rows, omegas.size), dtype=complex)
+    head[0] = seeds[0]
+    head[1:] = seeds[1]
+    np.cumprod(head, axis=0, out=head)
+    tail = np.empty((step, omegas.size), dtype=complex)
+    tail[0] = 1.0
+    tail[1:] = seeds[0]
+    np.cumprod(tail, axis=0, out=tail)
+    return (head[:, None, :] * tail[None, :, :]).reshape(rows * step, -1)[:n]
+
+
+def _measure_phasors(phi_entries: np.ndarray, phasors: np.ndarray) -> np.ndarray:
+    """Phi @ phasors as one real GEMM on the interleaved (cos, sin) view.
+
+    Returns an M x K x 2 array whose [..., 0] plane is Phi @ cos(w_k t) and
+    whose [..., 1] plane is Phi @ sin(w_k t).
+    """
+    w = phi_entries @ np.ascontiguousarray(phasors).view(float)
+    return w.reshape(phi_entries.shape[0], -1, 2)
+
+
+def _measured_atoms(phi_entries: np.ndarray, omegas) -> np.ndarray:
+    """Measured cos/sin atoms at every frequency in ``omegas`` (M x K x 2).
+
+    This is the one path that builds measured sinusoid atoms for many
+    frequencies at once; ``build_atoms`` stays the direct single-frequency
+    reference it is tested against.
+    """
+    omegas = np.asarray(omegas, dtype=float)
+    return _measure_phasors(phi_entries, _phasors(omegas, phi_entries.shape[1]))
+
+
+def _grid_tables(phi_entries, omegas):
+    """Measured atom pairs (u = sin, v = cos) and their Gram terms on a grid."""
+    w = _measured_atoms(phi_entries, omegas)
+    u = np.ascontiguousarray(w[..., 1])
+    v = np.ascontiguousarray(w[..., 0])
     g00 = np.einsum("ij,ij->j", u, u)
     g01 = np.einsum("ij,ij->j", u, v)
     g11 = np.einsum("ij,ij->j", v, v)
+    return u, v, g00, g01, g11
+
+
+# The round-1 grid over [0, pi] depends only on the sensing matrix and the
+# grid size, so it is built once and shared by every full-band estimate
+# against that matrix.  One entry: (phi, grid_points, omegas, tables).  The
+# entry holds phi itself, so an identity match can never be a recycled id.
+_full_band = None
+
+
+def _full_band_grid(phi: SensingMatrix, grid_points: int):
+    global _full_band
+    entry = _full_band
+    if entry is None or entry[0] is not phi or entry[1] != grid_points:
+        omegas = np.linspace(0.0, math.pi, grid_points + 1)
+        tables = _grid_tables(phi.entries, omegas)
+        for a in (omegas, *tables):
+            a.flags.writeable = False
+        entry = (phi, grid_points, omegas, tables)
+        _full_band = entry
+    return entry[2], entry[3]
+
+
+def _grid_eval(tables, r, tol):
+    """Squared error at every grid node, from the closed-form amplitudes.
+
+    The error is evaluated directly as ||r - u a1 - v a2||^2, not as
+    ||r||^2 minus the captured energy, so it keeps its relative precision
+    in late noiseless rounds where it is many orders below ||r||^2.
+    """
+    u, v, g00, g01, g11 = tables
     b0 = u.T @ r
     b1 = v.T @ r
     a1, a2 = _solve_normal_2x2(g00, g01, g11, b0, b1, tol)
     res = r[:, None] - u * a1 - v * a2
-    s = np.einsum("ij,ij->j", res, res)
-    return a1, a2, s
+    return np.einsum("ij,ij->j", res, res)
 
 
 def estimate_sinusoid(
@@ -211,7 +308,6 @@ def estimate_sinusoid(
     if not (0.0 <= alpha < beta <= math.pi):
         raise ValueError(f"initial bracket must satisfy 0 <= a < b <= pi, got {initial_bracket}")
 
-    t = np.arange(1, phi.n_cols + 1, dtype=float)
     best_s = math.inf
     best_omega = alpha
     brackets = [(alpha, beta)]
@@ -219,8 +315,12 @@ def estimate_sinusoid(
     rounds = 0
 
     while (beta - alpha) >= cfg.freq_tol and rounds < cfg.max_refinements:
-        omegas = np.linspace(alpha, beta, grid_points + 1)
-        _, _, s = _grid_eval(phi.entries, t, r, omegas, cfg.gram_det_tol)
+        if alpha == 0.0 and beta == math.pi:
+            omegas, tables = _full_band_grid(phi, grid_points)
+        else:
+            omegas = np.linspace(alpha, beta, grid_points + 1)
+            tables = _grid_tables(phi.entries, omegas)
+        s = _grid_eval(tables, r, cfg.gram_det_tol)
         j = int(np.argmin(s))
         improved = bool(s[j] < best_s)
         if improved:

@@ -324,6 +324,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
                 "mean_error": float(np.mean(errs)),
                 "median_error": float(np.median(errs)),
                 "mean_time_s": float(np.mean(times)),
+                "median_time_s": float(np.median(times)),
                 "trials": len(errs),
             }
         summary[_value_key(v)] = cell

@@ -29,6 +29,7 @@ __all__ = [
     "NoiseSpec",
     "canonical_phase",
     "sinusoid_samples",
+    "component_samples",
     "synthesize",
     "add_noise",
     "draw_model",
@@ -200,12 +201,17 @@ def sinusoid_samples(omega: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.sin(arg), np.cos(arg)
 
 
+def component_samples(params: SinusoidParams, n: int) -> np.ndarray:
+    """Samples a * sin(omega * t + phi) of one component over t = 1..n."""
+    t = np.arange(1, n + 1, dtype=float)
+    return params.amplitude * np.sin(params.omega * t + params.phase)
+
+
 def synthesize(model: SignalModel) -> np.ndarray:
     """Evaluate the model's sample vector s_t = sum_j a_j sin(omega_j t + phi_j)."""
-    t = np.arange(1, model.n_samples + 1, dtype=float)
     s = np.zeros(model.n_samples, dtype=float)
     for comp in model.components:
-        s += comp.amplitude * np.sin(comp.omega * t + comp.phase)
+        s += component_samples(comp, model.n_samples)
     return s
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimator import EstimatorConfig, estimate_sinusoid
-from .model import SignalModel, SinusoidParams, synthesize
+from .model import SignalModel, SinusoidParams, component_samples, synthesize
 from .sensing import Measurement, SensingMatrix
 
 __all__ = [
@@ -110,11 +110,6 @@ def form_residual(
             raise ValueError(f"estimate {j} has length {s.size}, expected {phi.n_cols}")
         r -= phi.entries @ s
     return r
-
-
-def _component_samples(params: SinusoidParams, n: int) -> np.ndarray:
-    t = np.arange(1, n + 1, dtype=float)
-    return params.amplitude * np.sin(params.omega * t + params.phase)
 
 
 def _placeholder_frequencies(k: int) -> list[float]:
@@ -212,7 +207,7 @@ def recover(
                     min(math.pi, params[i].omega + half),
                 )
             outcome = estimate_sinusoid(phi, r, cfg.estimator, initial_bracket=bracket)
-            cand_samples = _component_samples(outcome.params, n)
+            cand_samples = component_samples(outcome.params, n)
             cand_measured = phi.entries @ cand_samples
             old_sq = float(np.sum((r - measured[i]) ** 2))
             new_sq = float(np.sum((r - cand_measured) ** 2))

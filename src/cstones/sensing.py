@@ -40,6 +40,8 @@ class SensingMatrix:
         entries = np.asarray(self.entries, dtype=float)
         if entries.ndim != 2:
             raise ValueError(f"entries must be 2-D, got shape {entries.shape}")
+        if not np.all(np.isfinite(entries)):
+            raise ValueError("entries must be finite (no NaN or inf)")
         m, n = entries.shape
         if m > n:
             raise ValueError(f"need m <= n, got shape {entries.shape}")
@@ -79,6 +81,8 @@ class Measurement:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1:
             raise ValueError(f"values must be 1-D, got shape {values.shape}")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("values must be finite (no NaN or inf)")
         values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)

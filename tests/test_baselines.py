@@ -86,6 +86,38 @@ class TestGridOracle:
             assert omegas[col] == w
             assert s_vals[col] == s
 
+    def test_batch_matches_direct_trig_brute_force(self):
+        phi = gaussian_matrix(12, 20, seed=6)
+        residuals = np.random.default_rng(7).normal(size=(12, 4))
+        grid_size = 301
+        grid = np.linspace(0.0, math.pi, grid_size)
+        t = np.arange(1, 21, dtype=float)
+        sin_t = phi.entries @ np.sin(np.outer(t, grid))
+        cos_t = phi.entries @ np.cos(np.outer(t, grid))
+        omegas, s_vals = grid_oracle_batch(phi, residuals, grid_size)
+        for col in range(residuals.shape[1]):
+            r = residuals[:, col]
+            scan = []
+            for i in range(grid_size):
+                a = np.column_stack((sin_t[:, i], cos_t[:, i]))
+                coef = np.linalg.lstsq(a, r, rcond=None)[0]
+                scan.append(float(np.sum((r - a @ coef) ** 2)))
+            best = int(np.argmin(scan))
+            assert omegas[col] == grid[best]
+            assert s_vals[col] == pytest.approx(scan[best], rel=1e-9)
+
+    @pytest.mark.parametrize("omega", [0.0, math.pi])
+    def test_degenerate_endpoint_rank_one_identity(self, omega):
+        # at omega in {0, pi} the sine column vanishes: only the rank-1
+        # branch can score the endpoint, and it must win for cos(omega t)
+        phi = identity_phi(8)
+        _, cos_w = sinusoid_samples(omega, 8)
+        noise = 0.01 * np.random.default_rng(8).normal(size=8)
+        omegas, s_vals = grid_oracle_batch(phi, (1.5 * cos_w + noise)[:, None], 65)
+        assert omegas[0] == omega
+        expected = float(noise @ noise) - float(noise @ cos_w) ** 2 / float(cos_w @ cos_w)
+        assert s_vals[0] == pytest.approx(expected, rel=1e-9)
+
     def test_estimator_never_beaten_by_dense_grid(self):
         # anti-drift check on well-separated single-tone residuals
         for seed in range(5):

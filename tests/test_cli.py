@@ -119,6 +119,19 @@ class TestRecover:
         )
         assert code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_measurement_exits_2(self, tmp_path, capsys, bad):
+        _, _, meas = self.make_fixture(tmp_path)
+        lines = meas.read_text().splitlines()
+        lines[5] = lines[5].split(",")[0] + "," + bad
+        meas.write_text("\n".join(lines) + "\n")
+        code = run_cli(
+            "recover", "--measurement", str(meas), "--k", "3", "--n", "128",
+            "--m", "64", "--matrix-seed", "3", "--out", str(tmp_path / "rec.json"),
+        )
+        assert code == EXIT_VALIDATION
+        assert "finite" in capsys.readouterr().err
+
     def test_underdetermined_warns_but_succeeds(self, tmp_path, capsys, recwarn):
         _, _, meas = self.make_fixture(tmp_path, m=8, k=3)
         code = run_cli(
@@ -211,3 +224,4 @@ class TestBench:
         table = json.loads(capsys.readouterr().out)
         assert set(table) == {"mds", "oracle"}
         assert all(row["mean_time_s"] >= 0.0 for row in table.values())
+        assert all(row["median_time_s"] >= 0.0 for row in table.values())

@@ -1,12 +1,15 @@
 """Tests for the single-sinusoid estimator: closed-form amplitudes and the
 bracket-refined frequency search."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from cstones import estimator
 from cstones.estimator import (
+    EstimateOutcome,
     EstimatorConfig,
     MeasuredAtomPair,
     amplitude_ls,
@@ -39,6 +42,55 @@ class TestBuildAtoms:
         sin_w, cos_w = sinusoid_samples(omega, 24)
         np.testing.assert_array_equal(atoms.a_omega[:, 0], measure(phi, sin_w).values)
         np.testing.assert_array_equal(atoms.a_omega[:, 1], measure(phi, cos_w).values)
+
+
+class TestMeasuredAtomsKernel:
+    """The factored grid kernel against the direct per-frequency reference."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 128, 256])
+    @pytest.mark.parametrize(
+        "bracket", [(0.0, math.pi), (1.3, 1.3 + 1e-6), (0.0, 1e-3), (math.pi - 1e-3, math.pi)]
+    )
+    def test_matches_direct_sinusoid_samples(self, n, bracket):
+        phi = gaussian_matrix(max(1, n // 2), n, seed=n)
+        omegas = np.linspace(bracket[0], bracket[1], n + 1)
+        atoms = estimator._measured_atoms(phi.entries, omegas)
+        assert atoms.shape == (phi.m_rows, omegas.size, 2)
+        for k, w in enumerate(omegas):
+            sin_w, cos_w = sinusoid_samples(float(w), n)
+            ref = np.stack((phi.entries @ cos_w, phi.entries @ sin_w), axis=-1)
+            scale = np.max(np.abs(phi.entries)) * n
+            err = np.max(np.abs(atoms[:, k, :] - ref))
+            assert err <= 1e-12 * scale, (n, bracket, k, err)
+
+
+class TestFullBandCache:
+    def test_warm_call_equals_cold_call(self):
+        phi = gaussian_matrix(32, 64, seed=31)
+        rng = np.random.default_rng(32)
+        r_warmup, r = rng.normal(size=(2, 32))
+        estimator._full_band = None
+        cold = estimate_sinusoid(phi, r)
+        estimator._full_band = None
+        estimate_sinusoid(phi, r_warmup)
+        assert estimator._full_band[0] is phi
+        warm = estimate_sinusoid(phi, r)
+        for f in dataclasses.fields(EstimateOutcome):
+            assert getattr(warm, f.name) == getattr(cold, f.name), f.name
+
+    def test_keyed_on_matrix_identity_and_grid(self):
+        phi = gaussian_matrix(16, 32, seed=33)
+        twin = gaussian_matrix(16, 32, seed=33)  # equal entries, other object
+        r = np.random.default_rng(34).normal(size=16)
+        estimate_sinusoid(phi, r)
+        first = estimator._full_band
+        estimate_sinusoid(phi, r, EstimatorConfig(freq_tol=1e-6))
+        assert estimator._full_band is first
+        estimate_sinusoid(twin, r)
+        assert estimator._full_band[0] is twin
+        estimate_sinusoid(twin, r, EstimatorConfig(grid_points=40))
+        assert estimator._full_band[1] == 40
+        assert estimator._full_band[2].size == 41
 
 
 class TestAmplitudeLs:

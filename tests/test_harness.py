@@ -157,10 +157,16 @@ class TestRunExperiment:
                     for r in result.rows
                     if r.sweep_value == v and r.method == meth
                 ]
+                times = [
+                    r.time_s
+                    for r in result.rows
+                    if r.sweep_value == v and r.method == meth
+                ]
                 key = repr(int(v))
                 assert result.summary[key][meth]["mean_error"] == pytest.approx(
                     float(np.mean(errs))
                 )
+                assert result.summary[key][meth]["median_time_s"] == float(np.median(times))
 
     def test_failed_trials_score_one_and_never_abort(self):
         # oracle needs 2k <= M; M = 2 makes it fail on every trial

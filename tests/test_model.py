@@ -14,6 +14,7 @@ from cstones.model import (
     SinusoidParams,
     add_noise,
     canonical_phase,
+    component_samples,
     draw_model,
     sinusoid_samples,
     synthesize,
@@ -60,6 +61,12 @@ class TestSynthesize:
             synthesize(SignalModel((c,), 128)) for c in model.components
         )
         np.testing.assert_allclose(total, parts, rtol=1e-12, atol=1e-12)
+
+    def test_component_samples_bit_identical_to_synthesize(self):
+        comp = SinusoidParams(1.234, 0.7, -2.1)
+        np.testing.assert_array_equal(
+            component_samples(comp, 97), synthesize(SignalModel((comp,), 97))
+        )
 
     def test_linear_form_agreement(self):
         # a*sin(wt + p) == a1*sin(wt) + a2*cos(wt) with a1 = a cos p, a2 = a sin p

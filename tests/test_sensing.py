@@ -141,3 +141,17 @@ class TestProvenance:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             matrix_from_kind("fourier", 4, 8, 0)
+
+
+class TestNonFiniteRejected:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_measurement(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Measurement(values=np.array([1.0, bad, 0.5]), matrix_seed=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_sensing_matrix(self, bad):
+        entries = np.random.default_rng(0).normal(size=(3, 6))
+        entries[1, 4] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SensingMatrix(entries=entries, kind=GAUSSIAN, seed=0)
