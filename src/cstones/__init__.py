@@ -9,7 +9,6 @@ baselines and a reproducible Monte Carlo harness.
 
 from .baselines import (
     BompConfig,
-    RedundantDftFrame,
     bomp_recover,
     grid_oracle,
     grid_oracle_batch,
@@ -17,8 +16,6 @@ from .baselines import (
 )
 from .estimator import (
     EstimateOutcome,
-    EstimatorConfig,
-    MeasuredAtomPair,
     amplitude_ls,
     build_atoms,
     estimate_sinusoid,
@@ -46,7 +43,7 @@ from .model import (
     sinusoid_samples,
     synthesize,
 )
-from .recovery import RecoveryConfig, RecoveryResult, form_residual, recover
+from .recovery import RecoveryConfig, RecoveryResult, recover
 from .sensing import (
     GAUSSIAN,
     SUBSAMPLING,
@@ -80,17 +77,13 @@ __all__ = [
     "subsampling_matrix",
     "matrix_from_kind",
     "measure",
-    "MeasuredAtomPair",
-    "EstimatorConfig",
     "EstimateOutcome",
     "build_atoms",
     "amplitude_ls",
     "estimate_sinusoid",
     "RecoveryConfig",
     "RecoveryResult",
-    "form_residual",
     "recover",
-    "RedundantDftFrame",
     "BompConfig",
     "oracle_ls",
     "grid_oracle",

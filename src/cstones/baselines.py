@@ -27,7 +27,6 @@ from .model import SignalModel, SinusoidParams
 from .sensing import Measurement, SensingMatrix
 
 __all__ = [
-    "RedundantDftFrame",
     "BompConfig",
     "oracle_ls",
     "grid_oracle",
@@ -38,51 +37,6 @@ __all__ = [
 # Grid nodes per grid_oracle_batch chunk: sets the size of the fixed phasor
 # block and of every per-chunk GEMM operand.
 _SCAN_CHUNK = 512
-
-
-@dataclass(frozen=True)
-class RedundantDftFrame:
-    """Oversampled complex exponential dictionary with cN unit-norm atoms.
-
-    Atom i is (1/sqrt(N)) * [1, exp(j*w), ..., exp(j*w*(N-1))] at
-    w = i * delta with delta = 2*pi/(c*N).
-    """
-
-    oversampling: int
-    n: int
-
-    def __post_init__(self):
-        if self.oversampling < 1:
-            raise ValueError(f"oversampling must be >= 1, got {self.oversampling}")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-
-    @property
-    def delta(self) -> float:
-        return 2.0 * math.pi / (self.oversampling * self.n)
-
-    @property
-    def atom_count(self) -> int:
-        return self.oversampling * self.n
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        return np.arange(self.atom_count) * self.delta
-
-    @property
-    def atoms(self) -> np.ndarray:
-        """Complex atom matrix of shape (cN, N), one unit-norm atom per row."""
-        t = np.arange(self.n)
-        return np.exp(1j * np.outer(self.frequencies, t)) / math.sqrt(self.n)
-
-    def real_candidate_frequencies(self) -> np.ndarray:
-        """Frame frequencies restricted to [0, pi].
-
-        For real signals the atom pair at w and 2*pi - w spans the same
-        subspace, so candidates above pi are redundant.
-        """
-        freqs = self.frequencies
-        return freqs[freqs <= math.pi + 1e-12]
 
 
 @dataclass(frozen=True)
@@ -255,22 +209,32 @@ def grid_oracle_batch(
     return best_omega, s_exact
 
 
+def _candidate_frequencies(oversampling: int, n: int) -> np.ndarray:
+    """The oversampled DFT grid w_i = i * 2*pi/(cN), i < cN, restricted to [0, pi].
+
+    For real signals the atom pair at w and 2*pi - w spans the same
+    subspace, so grid frequencies above pi are redundant.
+    """
+    freqs = np.arange(oversampling * n) * (2.0 * math.pi / (oversampling * n))
+    return freqs[freqs <= math.pi + 1e-12]
+
+
 def bomp_recover(phi: SensingMatrix, m: Measurement, cfg: BompConfig) -> SignalModel:
     """Band-excluded orthogonal matching pursuit on the oversampled grid.
 
-    Candidate frequencies are the frame grid restricted to [0, pi]; each
-    candidate contributes the measured (sin, cos) pair so all arithmetic
-    stays real.  After every selection the residual is recomputed from a
-    joint least-squares fit over all selected pairs, and every candidate
-    within ``band_radius`` of a selected frequency is excluded.  Returns a
-    partial model with a warning if the exclusion bands exhaust the grid.
+    Candidate frequencies are the DFT grid oversampled by ``frame_c``,
+    restricted to [0, pi]; each candidate contributes the measured (sin,
+    cos) pair so all arithmetic stays real.  After every selection the
+    residual is recomputed from a joint least-squares fit over all selected
+    pairs, and every candidate within ``band_radius`` of a selected
+    frequency is excluded.  Returns a partial model with a warning if the
+    exclusion bands exhaust the grid.
     """
     if len(m.values) != phi.m_rows:
         raise ValueError(f"measurement length {len(m.values)} != matrix m={phi.m_rows}")
     n = phi.n_cols
     band_radius = cfg.band_radius if cfg.band_radius is not None else math.pi / n
-    frame = RedundantDftFrame(oversampling=cfg.frame_c, n=n)
-    cand = frame.real_candidate_frequencies()
+    cand = _candidate_frequencies(cfg.frame_c, n)
     if cfg.k == 0:
         return SignalModel(components=(), n_samples=n)
 

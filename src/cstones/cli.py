@@ -16,7 +16,6 @@ import sys
 import numpy as np
 
 from .baselines import BompConfig
-from .estimator import EstimatorConfig
 from .harness import (
     METHOD_BOMP,
     METHOD_MDS,
@@ -101,11 +100,7 @@ def cmd_recover(args) -> int:
             f"measurement has {values.size} entries but the matrix tuple says m={args.m}"
         )
     meas = Measurement(values=values, matrix_seed=args.matrix_seed)
-    cfg = RecoveryConfig(
-        k=args.k,
-        max_sweeps=args.max_sweeps,
-        estimator=EstimatorConfig(freq_tol=args.freq_tol),
-    )
+    cfg = RecoveryConfig(k=args.k, max_sweeps=args.max_sweeps, freq_tol=args.freq_tol)
     result = recover(phi, meas, cfg)
 
     payload = {
@@ -142,9 +137,7 @@ def _build_spec(args) -> ExperimentSpec:
         values = [float(v) for v in args.values.split(",")]
         trials = args.trials
         axis = args.axis
-    recovery = RecoveryConfig(
-        k=args.k, max_sweeps=args.max_sweeps, estimator=EstimatorConfig(freq_tol=args.freq_tol)
-    )
+    recovery = RecoveryConfig(k=args.k, max_sweeps=args.max_sweeps, freq_tol=args.freq_tol)
     return ExperimentSpec(
         sweep_axis=axis,
         sweep_values=tuple(sorted(values)),

@@ -9,14 +9,15 @@ least-squares sense.  For a fixed frequency the optimal linear amplitudes
 
 solve a 2x2 normal system in closed form; the frequency itself is found by
 an iterative grid search over [0, pi] that repeatedly re-grids the bracket
-around the best candidate ("frequency range refinement").  The bracket
-shrinks by a factor of at most 2/grid_points per round, so a handful of
-rounds reaches the frequency tolerance.
+around the best candidate ("frequency range refinement").  Every round lays
+N + 1 nodes over its bracket (N the matrix's column count), so the bracket
+shrinks by a factor of at most 2/N per round and a handful of rounds reaches
+the frequency tolerance ``freq_tol``, the search's one setting.
 
 Each round measures the atom pairs of all its grid nodes at once through
 one factored phasor kernel (``_measured_atoms``), which the baselines share.
-The first round's full-band table depends only on Phi and the grid size,
-so it is built once per matrix and reused by every later full-band call.
+The first round's full-band table depends only on Phi, so it is built once
+per matrix and reused by every later call.
 """
 
 from __future__ import annotations
@@ -30,53 +31,18 @@ from .model import SinusoidParams, sinusoid_samples
 from .sensing import SensingMatrix
 
 __all__ = [
-    "MeasuredAtomPair",
-    "EstimatorConfig",
     "EstimateOutcome",
     "build_atoms",
     "amplitude_ls",
     "estimate_sinusoid",
 ]
 
-
-@dataclass(frozen=True)
-class MeasuredAtomPair:
-    """The M x 2 matrix of compressed sine/cosine atoms at one frequency."""
-
-    a_omega: np.ndarray
-    omega: float
-
-    def __post_init__(self):
-        a = np.asarray(self.a_omega, dtype=float)
-        if a.ndim != 2 or a.shape[1] != 2:
-            raise ValueError(f"a_omega must be M x 2, got shape {a.shape}")
-        object.__setattr__(self, "a_omega", a)
-
-
-@dataclass(frozen=True)
-class EstimatorConfig:
-    """Knobs of the frequency search.
-
-    ``grid_points`` is the number of grid intervals per refinement round
-    (the grid itself has grid_points + 1 nodes); ``None`` defaults to the
-    sensing matrix's column count N.  The search halts once the bracket is
-    narrower than ``freq_tol`` or after ``max_refinements`` rounds.
-    """
-
-    grid_points: int | None = None
-    freq_tol: float = 1e-8
-    max_refinements: int = 60
-    gram_det_tol: float = 1e-12
-
-    def __post_init__(self):
-        if self.grid_points is not None and self.grid_points < 2:
-            raise ValueError(f"grid_points must be >= 2, got {self.grid_points}")
-        if self.freq_tol <= 0.0:
-            raise ValueError(f"freq_tol must be positive, got {self.freq_tol}")
-        if self.max_refinements < 1:
-            raise ValueError(f"max_refinements must be >= 1, got {self.max_refinements}")
-        if self.gram_det_tol <= 0.0:
-            raise ValueError(f"gram_det_tol must be positive, got {self.gram_det_tol}")
+# Cap on refinement rounds.  A bracket of N + 1 nodes shrinks by at most 2/N
+# per round, so for N >= 3 the default freq_tol stops the search first.
+_MAX_REFINEMENTS = 60
+# Atom pairs whose Gram determinant is at most this times trace^2 are solved
+# rank-1 (omega at 0 or pi, where the sine column vanishes).
+_GRAM_DET_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -95,11 +61,10 @@ class EstimateOutcome:
     best_s_history: tuple[float, ...] = field(default=())
 
 
-def build_atoms(phi: SensingMatrix, omega: float) -> MeasuredAtomPair:
-    """Measure the sine/cosine sample pair at ``omega`` through ``phi``."""
+def build_atoms(phi: SensingMatrix, omega: float) -> np.ndarray:
+    """The M x 2 measured atom pair [Phi @ sin_w, Phi @ cos_w] at ``omega``."""
     sin_w, cos_w = sinusoid_samples(omega, phi.n_cols)
-    a = np.column_stack((phi.entries @ sin_w, phi.entries @ cos_w))
-    return MeasuredAtomPair(a_omega=a, omega=float(omega))
+    return np.column_stack((phi.entries @ sin_w, phi.entries @ cos_w))
 
 
 def _solve_normal_2x2(g00, g01, g11, b0, b1, tol):
@@ -125,19 +90,18 @@ def _solve_normal_2x2(g00, g01, g11, b0, b1, tol):
     return a1, a2
 
 
-def amplitude_ls(
-    atoms: MeasuredAtomPair, r: np.ndarray, gram_det_tol: float = 1e-12
-) -> tuple[float, float, float]:
+def amplitude_ls(a: np.ndarray, r: np.ndarray) -> tuple[float, float, float]:
     """Least-squares amplitudes of ``r`` against one measured atom pair.
 
-    Returns (a1, a2, s_omega) where (a1, a2) minimizes ||r - A_w a||^2 via
-    the 2x2 normal equations and s_omega is the attained minimum, evaluated
-    directly as the squared norm of the residual.
+    ``a`` is the M x 2 pair from :func:`build_atoms`.  Returns (a1, a2,
+    s_omega) where (a1, a2) minimizes ||r - A_w a||^2 via the 2x2 normal
+    equations and s_omega is the attained minimum, evaluated directly as
+    the squared norm of the residual.
     """
-    a = atoms.a_omega
+    a = np.asarray(a, dtype=float)
     r = np.asarray(r, dtype=float)
-    if r.ndim != 1 or r.size != a.shape[0]:
-        raise ValueError(f"residual length {r.shape} does not match atoms {a.shape}")
+    if r.ndim != 1 or a.shape != (r.size, 2):
+        raise ValueError(f"atoms {a.shape} must be M x 2 for a residual of shape {r.shape}")
     col0 = a[:, 0]
     col1 = a[:, 1]
     g00 = float(col0 @ col0)
@@ -145,7 +109,7 @@ def amplitude_ls(
     g11 = float(col1 @ col1)
     b0 = float(col0 @ r)
     b1 = float(col1 @ r)
-    a1, a2 = _solve_normal_2x2(g00, g01, g11, b0, b1, gram_det_tol)
+    a1, a2 = _solve_normal_2x2(g00, g01, g11, b0, b1, _GRAM_DET_TOL)
     a1 = float(a1)
     a2 = float(a2)
     res = r - col0 * a1 - col1 * a2
@@ -225,27 +189,27 @@ def _grid_tables(phi_entries, omegas):
     return u, v, g00, g01, g11
 
 
-# The round-1 grid over [0, pi] depends only on the sensing matrix and the
-# grid size, so it is built once and shared by every full-band estimate
-# against that matrix.  One entry: (phi, grid_points, omegas, tables).  The
-# entry holds phi itself, so an identity match can never be a recycled id.
+# The round-1 grid over [0, pi] depends only on the sensing matrix, so it is
+# built once and shared by every estimate against that matrix.  One entry:
+# (phi, omegas, tables).  The entry holds phi itself, so an identity match
+# can never be a recycled id.
 _full_band = None
 
 
-def _full_band_grid(phi: SensingMatrix, grid_points: int):
+def _full_band_grid(phi: SensingMatrix):
     global _full_band
     entry = _full_band
-    if entry is None or entry[0] is not phi or entry[1] != grid_points:
-        omegas = np.linspace(0.0, math.pi, grid_points + 1)
+    if entry is None or entry[0] is not phi:
+        omegas = np.linspace(0.0, math.pi, phi.n_cols + 1)
         tables = _grid_tables(phi.entries, omegas)
         for a in (omegas, *tables):
             a.flags.writeable = False
-        entry = (phi, grid_points, omegas, tables)
+        entry = (phi, omegas, tables)
         _full_band = entry
-    return entry[2], entry[3]
+    return entry[1], entry[2]
 
 
-def _grid_eval(tables, r, tol):
+def _grid_eval(tables, r):
     """Squared error at every grid node, from the closed-form amplitudes.
 
     The error is evaluated directly as ||r - u a1 - v a2||^2, not as
@@ -255,25 +219,22 @@ def _grid_eval(tables, r, tol):
     u, v, g00, g01, g11 = tables
     b0 = u.T @ r
     b1 = v.T @ r
-    a1, a2 = _solve_normal_2x2(g00, g01, g11, b0, b1, tol)
+    a1, a2 = _solve_normal_2x2(g00, g01, g11, b0, b1, _GRAM_DET_TOL)
     res = r[:, None] - u * a1 - v * a2
     return np.einsum("ij,ij->j", res, res)
 
 
 def estimate_sinusoid(
-    phi: SensingMatrix,
-    r: np.ndarray,
-    cfg: EstimatorConfig | None = None,
-    initial_bracket: tuple[float, float] = (0.0, math.pi),
+    phi: SensingMatrix, r: np.ndarray, freq_tol: float = 1e-8
 ) -> EstimateOutcome:
     """Estimate the best-matching sinusoid for a residual measurement.
 
-    Each round lays a uniform grid of grid_points + 1 frequencies over the
-    current bracket [alpha, beta], solves the closed-form amplitude problem
-    at every node, and keeps the global best (strict improvement, lowest
-    index on ties).  The bracket then contracts to the grid neighbors of
-    the best-known frequency and the search repeats until the bracket is
-    narrower than ``freq_tol``.
+    Each round lays a uniform grid of N + 1 frequencies over the current
+    bracket [alpha, beta], starting from the full [0, pi], solves the
+    closed-form amplitude problem at every node, and keeps the global best
+    (strict improvement, lowest index on ties).  The bracket then contracts
+    to the grid neighbors of the best-known frequency and the search repeats
+    until the bracket is narrower than ``freq_tol``.
 
     Parameters
     ----------
@@ -281,10 +242,8 @@ def estimate_sinusoid(
         Measurement operator.
     r : np.ndarray
         Residual measurement vector of length M; must be nonzero.
-    cfg : EstimatorConfig, optional
-        Search configuration; defaults match the matrix's N-point grid.
-    initial_bracket : (float, float)
-        Starting frequency bracket, by default the full (0, pi) range.
+    freq_tol : float
+        Bracket width at which the search stops; must be positive.
 
     Returns
     -------
@@ -293,34 +252,31 @@ def estimate_sinusoid(
         The returned residual_sq is exactly ``amplitude_ls`` re-evaluated
         at the returned frequency.
     """
-    if cfg is None:
-        cfg = EstimatorConfig()
+    if freq_tol <= 0.0:
+        raise ValueError(f"freq_tol must be positive, got {freq_tol}")
     r = np.asarray(r, dtype=float)
     if r.ndim != 1 or r.size != phi.m_rows:
         raise ValueError(f"residual length {r.shape} does not match matrix m={phi.m_rows}")
     if float(r @ r) == 0.0:
         raise ValueError("residual is identically zero; nothing to estimate")
 
-    grid_points = cfg.grid_points if cfg.grid_points is not None else phi.n_cols
+    grid_points = phi.n_cols
     if grid_points < 2:
-        raise ValueError(f"resolved grid_points must be >= 2, got {grid_points}")
-    alpha, beta = float(initial_bracket[0]), float(initial_bracket[1])
-    if not (0.0 <= alpha < beta <= math.pi):
-        raise ValueError(f"initial bracket must satisfy 0 <= a < b <= pi, got {initial_bracket}")
-
+        raise ValueError(f"the frequency grid needs N >= 2 columns, got N={grid_points}")
+    alpha, beta = 0.0, math.pi
     best_s = math.inf
     best_omega = alpha
     brackets = [(alpha, beta)]
     s_history = []
     rounds = 0
 
-    while (beta - alpha) >= cfg.freq_tol and rounds < cfg.max_refinements:
+    while (beta - alpha) >= freq_tol and rounds < _MAX_REFINEMENTS:
         if alpha == 0.0 and beta == math.pi:
-            omegas, tables = _full_band_grid(phi, grid_points)
+            omegas, tables = _full_band_grid(phi)
         else:
             omegas = np.linspace(alpha, beta, grid_points + 1)
             tables = _grid_tables(phi.entries, omegas)
-        s = _grid_eval(tables, r, cfg.gram_det_tol)
+        s = _grid_eval(tables, r)
         j = int(np.argmin(s))
         improved = bool(s[j] < best_s)
         if improved:
@@ -347,7 +303,7 @@ def estimate_sinusoid(
     elif omega_hat >= math.pi:
         omega_hat = math.nextafter(math.pi, 0.0)
 
-    a1, a2, s_final = amplitude_ls(build_atoms(phi, omega_hat), r, cfg.gram_det_tol)
+    a1, a2, s_final = amplitude_ls(build_atoms(phi, omega_hat), r)
     params = SinusoidParams.from_linear(omega_hat, a1, a2)
     return EstimateOutcome(
         params=params,

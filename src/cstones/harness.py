@@ -117,7 +117,6 @@ class ExperimentSpec:
 
     def to_dict(self) -> dict:
         rec = self.resolved_recovery()
-        est = rec.estimator
         bomp = self.resolved_bomp()
         return {
             "sweep_axis": self.sweep_axis,
@@ -132,18 +131,7 @@ class ExperimentSpec:
             "base_seed": self.base_seed,
             "methods": list(self.methods),
             "min_sep": self.resolved_min_sep,
-            "recovery": {
-                "max_sweeps": rec.max_sweeps,
-                "residual_rel_tol": rec.residual_rel_tol,
-                "collapse_duplicates": rec.collapse_duplicates,
-                "warm_start": rec.warm_start,
-                "estimator": {
-                    "grid_points": est.grid_points,
-                    "freq_tol": est.freq_tol,
-                    "max_refinements": est.max_refinements,
-                    "gram_det_tol": est.gram_det_tol,
-                },
-            },
+            "recovery": {"max_sweeps": rec.max_sweeps, "freq_tol": rec.freq_tol},
             "bomp": {"band_radius": bomp.band_radius, "frame_c": bomp.frame_c},
         }
 

@@ -21,52 +21,47 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimator import EstimatorConfig, estimate_sinusoid
+from .estimator import estimate_sinusoid
 from .model import SignalModel, SinusoidParams, component_samples, synthesize
 from .sensing import Measurement, SensingMatrix
 
 __all__ = [
     "RecoveryConfig",
     "RecoveryResult",
-    "form_residual",
     "recover",
 ]
 
 # Tiny tolerance (scaled by the residual) that separates float jitter from a
 # genuine residual increase when recording per-sweep norms.
 _MONOTONE_EPS = 1e-12
+# Sweeps halt once the residual norm changes by less than this times ||m||.
+_RESIDUAL_REL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class RecoveryConfig:
     """Settings of the cyclic recovery loop.
 
-    ``collapse_duplicates`` zeroes the lower-energy member of any component
-    pair whose frequencies agree to within the estimator's freq_tol, so a
-    freed slot can capture a missed tone on the next sweep.  Turning it off
-    gives the plain cyclic loop.  ``warm_start`` restarts each component's
-    frequency search in a narrow bracket around its previous estimate
-    instead of the full (0, pi) range.
-
-    The sweep cap of 60 covers the slow zigzag convergence of tone pairs
-    near the pi/N separation floor; typical instances halt on the residual
-    tolerance after ~14 sweeps.
+    ``k`` is the number of sinusoids to fit.  ``max_sweeps`` caps the
+    sweeps; the default of 60 covers the slow zigzag convergence of tone
+    pairs near the pi/N separation floor, while typical instances halt on
+    the residual tolerance after ~14 sweeps.  ``freq_tol`` is the bracket
+    width at which each frequency search stops; it is also the distance
+    below which two components count as duplicates, and the lower-energy
+    one is zeroed so the freed slot can capture a missed tone next sweep.
     """
 
     k: int
     max_sweeps: int = 60
-    residual_rel_tol: float = 1e-10
-    estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
-    collapse_duplicates: bool = True
-    warm_start: bool = False
+    freq_tol: float = 1e-8
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.max_sweeps < 1:
             raise ValueError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
-        if self.residual_rel_tol < 0.0:
-            raise ValueError(f"residual_rel_tol must be >= 0, got {self.residual_rel_tol}")
+        if self.freq_tol <= 0.0:
+            raise ValueError(f"freq_tol must be positive, got {self.freq_tol}")
 
 
 @dataclass(frozen=True)
@@ -83,33 +78,6 @@ class RecoveryResult:
     sweeps_used: int
     final_residual_norm: float
     sweep_residual_norms: tuple[float, ...] = field(default=())
-
-
-def form_residual(
-    m: Measurement,
-    phi: SensingMatrix,
-    estimates: list[np.ndarray],
-    exclude: int,
-) -> np.ndarray:
-    """Measurement residual with every component except ``exclude`` removed.
-
-    ``estimates`` holds per-component sample vectors of length N; with all
-    of them zero the residual is the raw measurement.  ``exclude`` is a
-    0-based component index.
-    """
-    if not 0 <= exclude < len(estimates):
-        raise IndexError(f"exclude={exclude} out of range for {len(estimates)} estimates")
-    if len(m.values) != phi.m_rows:
-        raise ValueError(f"measurement length {len(m.values)} != matrix m={phi.m_rows}")
-    r = m.values.copy()
-    for j, s in enumerate(estimates):
-        if j == exclude:
-            continue
-        s = np.asarray(s, dtype=float)
-        if s.size != phi.n_cols:
-            raise ValueError(f"estimate {j} has length {s.size}, expected {phi.n_cols}")
-        r -= phi.entries @ s
-    return r
 
 
 def _placeholder_frequencies(k: int) -> list[float]:
@@ -175,9 +143,6 @@ def recover(
             sweep_residual_norms=(),
         )
 
-    grid_points = (
-        cfg.estimator.grid_points if cfg.estimator.grid_points is not None else n
-    )
     params: list[SinusoidParams | None] = [None] * k
     samples = [np.zeros(n) for _ in range(k)]
     measured = [np.zeros(phi.m_rows) for _ in range(k)]
@@ -199,14 +164,7 @@ def recover(
                 samples[i] = np.zeros(n)
                 measured[i] = np.zeros(phi.m_rows)
                 continue
-            bracket = (0.0, math.pi)
-            if cfg.warm_start and params[i] is not None:
-                half = math.pi / grid_points
-                bracket = (
-                    max(0.0, params[i].omega - half),
-                    min(math.pi, params[i].omega + half),
-                )
-            outcome = estimate_sinusoid(phi, r, cfg.estimator, initial_bracket=bracket)
+            outcome = estimate_sinusoid(phi, r, cfg.freq_tol)
             cand_samples = component_samples(outcome.params, n)
             cand_measured = phi.entries @ cand_samples
             old_sq = float(np.sum((r - measured[i]) ** 2))
@@ -218,8 +176,7 @@ def recover(
                 samples[i] = cand_samples
                 measured[i] = cand_measured
 
-        if cfg.collapse_duplicates:
-            pending_zero = _duplicate_losers(params, samples, cfg.estimator.freq_tol)
+        pending_zero = _duplicate_losers(params, samples, cfg.freq_tol)
 
         resid = float(np.linalg.norm(mv - sum(measured)))
         if sweep_norms and resid > sweep_norms[-1] + _MONOTONE_EPS * max(1.0, sweep_norms[-1]):
@@ -235,7 +192,7 @@ def recover(
         sweep_norms.append(resid)
         converged = (
             len(sweep_norms) >= 2
-            and abs(sweep_norms[-2] - resid) < cfg.residual_rel_tol * m_norm
+            and abs(sweep_norms[-2] - resid) < _RESIDUAL_REL_TOL * m_norm
         )
         # A pending collapse will change the state next sweep, so only halt
         # on a flat residual when no collapse is queued.

@@ -187,7 +187,7 @@ def test_criterion_2_normal_equation_optimality(single_tone_runs, noisy_estimato
         atoms = cs.build_atoms(phi, out.params.omega)
         a1 = out.params.amplitude * math.cos(out.params.phase)
         a2 = out.params.amplitude * math.sin(out.params.phase)
-        grad = atoms.a_omega.T @ (r - atoms.a_omega @ np.array([a1, a2]))
+        grad = atoms.T @ (r - atoms @ np.array([a1, a2]))
         worst = max(worst, float(np.linalg.norm(grad) / np.linalg.norm(r)))
     ok = worst < 1e-9
     _report(2, ok, f"max ||A^T(r - A a)|| / ||r|| = {worst:.2e} over {len(checks)} estimates")

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from cstones import baselines
 from cstones.baselines import (
     BompConfig,
-    RedundantDftFrame,
     bomp_recover,
     grid_oracle,
     grid_oracle_batch,
@@ -23,23 +23,15 @@ def identity_phi(n):
     return SensingMatrix(entries=np.eye(n), kind=SUBSAMPLING, seed=0)
 
 
-class TestRedundantDftFrame:
-    def test_atom_count_and_spacing(self):
-        frame = RedundantDftFrame(oversampling=5, n=128)
-        assert frame.atom_count == 640
-        assert frame.delta == pytest.approx(2.0 * math.pi / 640)
-
-    def test_atoms_unit_norm(self):
-        frame = RedundantDftFrame(oversampling=3, n=32)
-        norms = np.linalg.norm(frame.atoms, axis=1)
-        np.testing.assert_allclose(norms, np.ones(96), rtol=1e-12)
-
-    def test_real_candidates_cover_half_circle(self):
-        frame = RedundantDftFrame(oversampling=5, n=128)
-        cand = frame.real_candidate_frequencies()
+class TestBompCandidateGrid:
+    @pytest.mark.parametrize("c, n", [(5, 128), (3, 32), (5, 7)])
+    def test_count_spacing_and_endpoint(self, c, n):
+        cand = baselines._candidate_frequencies(c, n)
+        assert cand.size == c * n // 2 + 1
         assert cand[0] == 0.0
-        assert cand[-1] == pytest.approx(math.pi)
-        assert cand.size == 321  # cN/2 + 1
+        np.testing.assert_allclose(np.diff(cand), 2.0 * math.pi / (c * n), rtol=1e-12)
+        assert cand[-1] <= math.pi
+        assert cand[-1] + 2.0 * math.pi / (c * n) > math.pi
 
 
 class TestGridOracle:
@@ -158,7 +150,7 @@ class TestOracleLs:
         resid = m.values - phi.entries @ synthesize(fitted)
         for w in truth.frequencies:
             atoms = build_atoms(phi, w)
-            proj = atoms.a_omega.T @ resid
+            proj = atoms.T @ resid
             assert np.linalg.norm(proj) / np.linalg.norm(m.values) < 1e-9
 
     def test_duplicate_frequencies_rejected(self):
@@ -195,11 +187,9 @@ class TestOracleLs:
 class TestBompRecover:
     def test_on_grid_tones_recovered_exactly(self):
         n = 128
-        frame = RedundantDftFrame(oversampling=5, n=n)
-        idx = (40, 120, 200)  # distinct frame grid points, well separated
-        comps = tuple(
-            SinusoidParams(float(frame.frequencies[i]), 1.0, 0.0) for i in idx
-        )
+        cand = baselines._candidate_frequencies(5, n)
+        idx = (40, 120, 200)  # distinct candidate grid points, well separated
+        comps = tuple(SinusoidParams(float(cand[i]), 1.0, 0.0) for i in idx)
         truth = SignalModel(comps, n)
         x = synthesize(truth)
         phi = gaussian_matrix(64, n, seed=12)

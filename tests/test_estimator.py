@@ -10,8 +10,6 @@ import pytest
 from cstones import estimator
 from cstones.estimator import (
     EstimateOutcome,
-    EstimatorConfig,
-    MeasuredAtomPair,
     amplitude_ls,
     build_atoms,
     estimate_sinusoid,
@@ -27,12 +25,12 @@ def identity_phi(n):
 class TestBuildAtoms:
     def test_identity_matrix_quarter_period(self):
         atoms = build_atoms(identity_phi(4), math.pi / 2)
-        np.testing.assert_allclose(atoms.a_omega[:, 0], [1.0, 0.0, -1.0, 0.0], atol=1e-15)
-        np.testing.assert_allclose(atoms.a_omega[:, 1], [0.0, -1.0, 0.0, 1.0], atol=1e-15)
+        np.testing.assert_allclose(atoms[:, 0], [1.0, 0.0, -1.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(atoms[:, 1], [0.0, -1.0, 0.0, 1.0], atol=1e-15)
 
     def test_zero_frequency_sine_column_vanishes(self):
         atoms = build_atoms(gaussian_matrix(8, 16, seed=1), 0.0)
-        np.testing.assert_array_equal(atoms.a_omega[:, 0], np.zeros(8))
+        np.testing.assert_array_equal(atoms[:, 0], np.zeros(8))
 
     def test_composition_with_measure(self):
         # columns must equal measuring the raw sample vectors
@@ -40,8 +38,8 @@ class TestBuildAtoms:
         omega = 1.37
         atoms = build_atoms(phi, omega)
         sin_w, cos_w = sinusoid_samples(omega, 24)
-        np.testing.assert_array_equal(atoms.a_omega[:, 0], measure(phi, sin_w).values)
-        np.testing.assert_array_equal(atoms.a_omega[:, 1], measure(phi, cos_w).values)
+        np.testing.assert_array_equal(atoms[:, 0], measure(phi, sin_w).values)
+        np.testing.assert_array_equal(atoms[:, 1], measure(phi, cos_w).values)
 
 
 class TestMeasuredAtomsKernel:
@@ -79,24 +77,23 @@ class TestFullBandCache:
             assert getattr(warm, f.name) == getattr(cold, f.name), f.name
 
     def test_keyed_on_matrix_identity_and_grid(self):
+        # the grid is not part of the key: it is always the matrix's N + 1 nodes
         phi = gaussian_matrix(16, 32, seed=33)
         twin = gaussian_matrix(16, 32, seed=33)  # equal entries, other object
         r = np.random.default_rng(34).normal(size=16)
         estimate_sinusoid(phi, r)
         first = estimator._full_band
-        estimate_sinusoid(phi, r, EstimatorConfig(freq_tol=1e-6))
+        estimate_sinusoid(phi, r, freq_tol=1e-6)
         assert estimator._full_band is first
+        assert first[1].size == 33
         estimate_sinusoid(twin, r)
         assert estimator._full_band[0] is twin
-        estimate_sinusoid(twin, r, EstimatorConfig(grid_points=40))
-        assert estimator._full_band[1] == 40
-        assert estimator._full_band[2].size == 41
 
 
 class TestAmplitudeLs:
     def test_exact_representation(self):
         atoms = build_atoms(identity_phi(4), math.pi / 2)  # orthogonal columns
-        r = 2.0 * atoms.a_omega[:, 0] + 3.0 * atoms.a_omega[:, 1]
+        r = 2.0 * atoms[:, 0] + 3.0 * atoms[:, 1]
         a1, a2, s = amplitude_ls(atoms, r)
         assert a1 == pytest.approx(2.0, abs=1e-12)
         assert a2 == pytest.approx(3.0, abs=1e-12)
@@ -104,8 +101,7 @@ class TestAmplitudeLs:
 
     def test_orthogonal_residual(self):
         # exact quarter-period atoms, hand-written so orthogonality is exact
-        a = np.array([[1.0, 0.0], [0.0, -1.0], [-1.0, 0.0], [0.0, 1.0]])
-        atoms = MeasuredAtomPair(a_omega=a, omega=math.pi / 2)
+        atoms = np.array([[1.0, 0.0], [0.0, -1.0], [-1.0, 0.0], [0.0, 1.0]])
         r = np.array([1.0, 0.0, 1.0, 0.0])  # orthogonal to both columns
         a1, a2, s = amplitude_ls(atoms, r)
         assert a1 == 0.0 and a2 == 0.0
@@ -119,17 +115,17 @@ class TestAmplitudeLs:
             atoms = build_atoms(phi, omega)
             r = rng.normal(size=20)
             a1, a2, s = amplitude_ls(atoms, r)
-            ref, _, _, _ = np.linalg.lstsq(atoms.a_omega, r, rcond=None)
+            ref, _, _, _ = np.linalg.lstsq(atoms, r, rcond=None)
             assert a1 == pytest.approx(ref[0], rel=1e-9)
             assert a2 == pytest.approx(ref[1], rel=1e-9)
-            ref_resid = r - atoms.a_omega @ ref
+            ref_resid = r - atoms @ ref
             assert s == pytest.approx(float(ref_resid @ ref_resid), rel=1e-9)
 
     def test_degenerate_pair_falls_back_to_rank_one(self):
         # omega = 0 kills the sine column; solution must live on the cosine
         phi = gaussian_matrix(10, 16, seed=5)
         atoms = build_atoms(phi, 0.0)
-        r = 1.5 * atoms.a_omega[:, 1]
+        r = 1.5 * atoms[:, 1]
         a1, a2, s = amplitude_ls(atoms, r)
         assert a1 == 0.0
         assert a2 == pytest.approx(1.5, rel=1e-12)
@@ -180,7 +176,7 @@ class TestEstimateSinusoid:
             atoms = build_atoms(phi, out.params.omega)
             a1 = out.params.amplitude * math.cos(out.params.phase)
             a2 = out.params.amplitude * math.sin(out.params.phase)
-            grad = atoms.a_omega.T @ (r - atoms.a_omega @ np.array([a1, a2]))
+            grad = atoms.T @ (r - atoms @ np.array([a1, a2]))
             assert np.linalg.norm(grad) / np.linalg.norm(r) < 1e-9
 
     def test_best_s_history_non_increasing(self):
@@ -207,18 +203,16 @@ class TestEstimateSinusoid:
     def test_final_bracket_meets_freq_tol(self):
         phi = gaussian_matrix(24, 48, seed=17)
         r = np.random.default_rng(18).normal(size=24)
-        cfg = EstimatorConfig(freq_tol=1e-8)
-        out = estimate_sinusoid(phi, r, cfg)
+        out = estimate_sinusoid(phi, r, freq_tol=1e-8)
         a, b = out.bracket_history[-1]
-        assert b - a < cfg.freq_tol
+        assert b - a < 1e-8
 
     def test_refinement_round_bound(self):
         # ceil(log(pi/tol) / log(grid/2)) rounds suffice with the defaults
         phi = gaussian_matrix(24, 48, seed=19)
         r = np.random.default_rng(20).normal(size=24)
-        cfg = EstimatorConfig(freq_tol=1e-8)
-        out = estimate_sinusoid(phi, r, cfg)
-        bound = math.ceil(math.log(math.pi / cfg.freq_tol) / math.log(48 / 2)) + 1
+        out = estimate_sinusoid(phi, r, freq_tol=1e-8)
+        bound = math.ceil(math.log(math.pi / 1e-8) / math.log(48 / 2)) + 1
         assert out.refinements_used <= bound
 
     def test_zero_residual_rejected(self):
@@ -226,45 +220,36 @@ class TestEstimateSinusoid:
         with pytest.raises(ValueError):
             estimate_sinusoid(phi, np.zeros(8))
 
-    def test_custom_grid_points(self):
-        phi = gaussian_matrix(32, 64, seed=22)
-        model = SignalModel((SinusoidParams(0.9, 1.0, 0.0),), 64)
-        r = measure(phi, synthesize(model)).values
-        out = estimate_sinusoid(phi, r, EstimatorConfig(grid_points=256))
-        assert out.params.omega == pytest.approx(0.9, abs=1e-7)
-
-    def test_narrow_initial_bracket(self):
-        phi = gaussian_matrix(32, 64, seed=23)
-        model = SignalModel((SinusoidParams(1.1, 1.0, 0.0),), 64)
-        r = measure(phi, synthesize(model)).values
-        out = estimate_sinusoid(phi, r, initial_bracket=(1.0, 1.2))
-        assert out.params.omega == pytest.approx(1.1, abs=1e-7)
-        assert out.bracket_history[0] == (1.0, 1.2)
-
     def test_low_index_tie_break(self):
         # a symmetric two-point grid cannot occur with real atoms, but equal
-        # S values must keep the lowest grid index: exercise via a residual
-        # orthogonal to every atom pair column, where S is flat
+        # S values must keep the lowest grid index: on this residual the
+        # round-1 nodes 0, pi/4, 3pi/4 and pi all attain S = 1
         phi = identity_phi(4)
         r = np.array([1.0, 0.0, 1.0, 0.0])
-        out = estimate_sinusoid(phi, r, EstimatorConfig(grid_points=4, max_refinements=1))
-        # flat objective: the first grid node (bracket start) wins
-        assert out.params.omega <= out.bracket_history[0][0] + math.pi / 4 + 1e-12
+        out = estimate_sinusoid(phi, r)
+        assert out.best_s_history[0] == pytest.approx(1.0, abs=1e-12)
+        # node 0 won round 1: the bracket contracted to its neighbors [0, pi/4]
+        assert out.bracket_history[1] == (0.0, math.pi / 4)
+        assert out.params.omega <= math.pi / 4
 
 
 class TestEstimatorConfigValidation:
+    """Entry checks on the estimator's inputs: grid size, freq_tol, atom pair shape."""
+
     def test_bad_grid(self):
-        with pytest.raises(ValueError):
-            EstimatorConfig(grid_points=1)
+        # the refinement grid has N + 1 nodes and needs N >= 2
+        with pytest.raises(ValueError, match="N >= 2"):
+            estimate_sinusoid(identity_phi(1), np.ones(1))
 
     def test_bad_tol(self):
-        with pytest.raises(ValueError):
-            EstimatorConfig(freq_tol=0.0)
-
-    def test_bad_refinements(self):
-        with pytest.raises(ValueError):
-            EstimatorConfig(max_refinements=0)
+        phi = gaussian_matrix(8, 16, seed=24)
+        r = np.random.default_rng(25).normal(size=8)
+        for tol in (0.0, -1e-8):
+            with pytest.raises(ValueError, match="freq_tol"):
+                estimate_sinusoid(phi, r, freq_tol=tol)
 
     def test_atom_pair_shape_checked(self):
         with pytest.raises(ValueError):
-            MeasuredAtomPair(a_omega=np.zeros((4, 3)), omega=1.0)
+            amplitude_ls(np.zeros((4, 3)), np.ones(4))
+        with pytest.raises(ValueError):
+            amplitude_ls(np.zeros((4, 2)), np.ones(5))

@@ -7,45 +7,12 @@ import pytest
 
 from cstones.estimator import estimate_sinusoid
 from cstones.model import SignalModel, SinusoidParams, draw_model, synthesize
-from cstones.recovery import RecoveryConfig, form_residual, recover
+from cstones.recovery import RecoveryConfig, recover
 from cstones.sensing import SUBSAMPLING, SensingMatrix, gaussian_matrix, measure
 
 
 def identity_phi(n):
     return SensingMatrix(entries=np.eye(n), kind=SUBSAMPLING, seed=0)
-
-
-class TestFormResidual:
-    def setup_method(self):
-        self.phi = gaussian_matrix(16, 32, seed=1)
-        rng = np.random.default_rng(2)
-        self.x = rng.normal(size=32)
-        self.m = measure(self.phi, self.x)
-
-    def test_all_zero_estimates_give_raw_measurement(self):
-        estimates = [np.zeros(32) for _ in range(3)]
-        r = form_residual(self.m, self.phi, estimates, exclude=1)
-        np.testing.assert_array_equal(r, self.m.values)
-
-    def test_single_component_exclusion_is_empty(self):
-        estimates = [np.random.default_rng(3).normal(size=32)]
-        r = form_residual(self.m, self.phi, estimates, exclude=0)
-        np.testing.assert_array_equal(r, self.m.values)
-
-    def test_matches_naive_sum(self):
-        rng = np.random.default_rng(4)
-        estimates = [rng.normal(size=32) for _ in range(3)]
-        r = form_residual(self.m, self.phi, estimates, exclude=1)
-        naive = self.m.values - self.phi.entries @ (estimates[0] + estimates[2])
-        np.testing.assert_allclose(r, naive, rtol=1e-12, atol=1e-12)
-
-    def test_exclude_out_of_range(self):
-        with pytest.raises(IndexError):
-            form_residual(self.m, self.phi, [np.zeros(32)], exclude=1)
-
-    def test_wrong_estimate_length(self):
-        with pytest.raises(ValueError):
-            form_residual(self.m, self.phi, [np.zeros(32), np.zeros(31)], exclude=0)
 
 
 class TestRecover:
@@ -132,30 +99,15 @@ class TestRecover:
         result = recover(phi, m, RecoveryConfig(k=2))
         # re-derive the final component update by hand for slot 1
         estimates = [synthesize(SignalModel((c,), 64)) for c in result.model.components]
-        r = form_residual(m, phi, estimates, exclude=1)
+        r = m.values - phi.entries @ estimates[0]
         out = estimate_sinusoid(phi, r)
         post = np.linalg.norm(r - phi.entries @ estimates[1]) ** 2
         assert post <= out.residual_sq + 1e-9
-
-    def test_warm_start_variant_runs(self):
-        truth = draw_model(3, 128, math.pi / 128, "freq", seed=15)
-        x = synthesize(truth)
-        phi = gaussian_matrix(64, 128, seed=16)
-        m = measure(phi, x)
-        result = recover(phi, m, RecoveryConfig(k=3, warm_start=True))
-        err = np.linalg.norm(x - result.signal) / np.linalg.norm(x)
-        assert err < 1e-3
-
-    def test_collapse_flag_off_is_pure_cyclic(self):
-        truth = draw_model(3, 128, math.pi / 128, "freq", seed=17)
-        phi = gaussian_matrix(64, 128, seed=18)
-        m = measure(phi, synthesize(truth))
-        result = recover(phi, m, RecoveryConfig(k=3, collapse_duplicates=False))
-        norms = result.sweep_residual_norms
-        assert all(b <= a + 1e-9 for a, b in zip(norms, norms[1:]))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             RecoveryConfig(k=0)
         with pytest.raises(ValueError):
             RecoveryConfig(k=1, max_sweeps=0)
+        with pytest.raises(ValueError):
+            RecoveryConfig(k=1, freq_tol=0.0)
