@@ -34,6 +34,22 @@ class TestBompCandidateGrid:
         assert cand[-1] + 2.0 * math.pi / (c * n) > math.pi
 
 
+class TestRedundantDftFrame:
+    """The c-times redundant DFT frame BOMP searches, as its real [0, pi] half."""
+
+    def test_atom_count_and_spacing(self):
+        cand = baselines._candidate_frequencies(5, 128)
+        # The full frame has cN = 640 atoms; the real half keeps cN/2 + 1 of them.
+        assert 2 * (cand.size - 1) == 640
+        np.testing.assert_allclose(np.diff(cand), 2.0 * math.pi / 640, rtol=1e-12)
+
+    def test_real_candidates_cover_half_circle(self):
+        cand = baselines._candidate_frequencies(5, 128)
+        assert cand[0] == 0.0
+        assert cand[-1] == pytest.approx(math.pi)
+        assert cand.size == 321  # cN/2 + 1
+
+
 class TestGridOracle:
     def test_on_grid_tone_identity_matrix(self):
         phi = identity_phi(64)
