@@ -16,8 +16,8 @@ the frequency tolerance ``freq_tol``, the search's one setting.
 
 Each round measures the atom pairs of all its grid nodes at once through
 one factored phasor kernel (``_measured_atoms``), which the baselines share.
-The first round's full-band table depends only on Phi, so it is built once
-per matrix and reused by every later call.
+A round's table depends only on Phi and its bracket, so recent brackets'
+tables, the full band's among them, are kept per matrix and reused.
 """
 
 from __future__ import annotations
@@ -178,35 +178,39 @@ def _measured_atoms(phi_entries: np.ndarray, omegas) -> np.ndarray:
     return _measure_phasors(phi_entries, _phasors(omegas, phi_entries.shape[1]))
 
 
-def _grid_tables(phi_entries, omegas):
-    """Measured atom pairs (u = sin, v = cos) and their Gram terms on a grid."""
-    w = _measured_atoms(phi_entries, omegas)
-    u = np.ascontiguousarray(w[..., 1])
-    v = np.ascontiguousarray(w[..., 0])
-    g00 = np.einsum("ij,ij->j", u, u)
-    g01 = np.einsum("ij,ij->j", u, v)
-    g11 = np.einsum("ij,ij->j", v, v)
-    return u, v, g00, g01, g11
+# Round tables of the current matrix (held, so an identity match is never a
+# recycled id), read-only, in an LRU keyed on the bracket.  Brackets follow
+# from earlier argmins, so sweeps revisit them and a hit equals a rebuild bit
+# for bit.  Each call touches (0, pi), then cycles through K components x ~4
+# rounds, so fewer than 4K + 1 entries never hit.  16 serve K <= 3 (2.2 MB at
+# N=128, M=64); a larger K may thrash, costing one dict lookup a round more.
+_CACHE_SIZE = 16
+_cache_phi = None
+_cache: dict = {}
 
 
-# The round-1 grid over [0, pi] depends only on the sensing matrix, so it is
-# built once and shared by every estimate against that matrix.  One entry:
-# (phi, omegas, tables).  The entry holds phi itself, so an identity match
-# can never be a recycled id.
-_full_band = None
-
-
-def _full_band_grid(phi: SensingMatrix):
-    global _full_band
-    entry = _full_band
-    if entry is None or entry[0] is not phi:
-        omegas = np.linspace(0.0, math.pi, phi.n_cols + 1)
-        tables = _grid_tables(phi.entries, omegas)
-        for a in (omegas, *tables):
-            a.flags.writeable = False
-        entry = (phi, omegas, tables)
-        _full_band = entry
-    return entry[1], entry[2]
+def _round_tables(phi: SensingMatrix, alpha: float, beta: float):
+    """Grid nodes over [alpha, beta] and their (u = sin, v = cos, Gram) tables."""
+    global _cache_phi
+    if _cache_phi is not phi:
+        _cache.clear()
+        _cache_phi = phi
+    entry = _cache.pop((alpha, beta), None)
+    if entry is None:
+        omegas = np.linspace(alpha, beta, phi.n_cols + 1)
+        w = _measured_atoms(phi.entries, omegas)
+        u = np.ascontiguousarray(w[..., 1])
+        v = np.ascontiguousarray(w[..., 0])
+        g00 = np.einsum("ij,ij->j", u, u)
+        g01 = np.einsum("ij,ij->j", u, v)
+        g11 = np.einsum("ij,ij->j", v, v)
+        for x in (omegas, u, v, g00, g01, g11):
+            x.flags.writeable = False
+        entry = (omegas, (u, v, g00, g01, g11))
+        if len(_cache) >= _CACHE_SIZE:
+            del _cache[next(iter(_cache))]
+    _cache[(alpha, beta)] = entry
+    return entry
 
 
 def _grid_eval(tables, r):
@@ -243,7 +247,7 @@ def estimate_sinusoid(
     r : np.ndarray
         Residual measurement vector of length M; must be nonzero.
     freq_tol : float
-        Bracket width at which the search stops; must be positive.
+        Bracket width at which the search stops; must be positive and finite.
 
     Returns
     -------
@@ -252,8 +256,8 @@ def estimate_sinusoid(
         The returned residual_sq is exactly ``amplitude_ls`` re-evaluated
         at the returned frequency.
     """
-    if freq_tol <= 0.0:
-        raise ValueError(f"freq_tol must be positive, got {freq_tol}")
+    if not (0.0 < freq_tol < math.inf):
+        raise ValueError(f"freq_tol must be positive and finite, got {freq_tol}")
     r = np.asarray(r, dtype=float)
     if r.ndim != 1 or r.size != phi.m_rows:
         raise ValueError(f"residual length {r.shape} does not match matrix m={phi.m_rows}")
@@ -271,11 +275,7 @@ def estimate_sinusoid(
     rounds = 0
 
     while (beta - alpha) >= freq_tol and rounds < _MAX_REFINEMENTS:
-        if alpha == 0.0 and beta == math.pi:
-            omegas, tables = _full_band_grid(phi)
-        else:
-            omegas = np.linspace(alpha, beta, grid_points + 1)
-            tables = _grid_tables(phi.entries, omegas)
+        omegas, tables = _round_tables(phi, alpha, beta)
         s = _grid_eval(tables, r)
         j = int(np.argmin(s))
         improved = bool(s[j] < best_s)

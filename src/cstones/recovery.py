@@ -60,8 +60,8 @@ class RecoveryConfig:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.max_sweeps < 1:
             raise ValueError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
-        if self.freq_tol <= 0.0:
-            raise ValueError(f"freq_tol must be positive, got {self.freq_tol}")
+        if not (0.0 < self.freq_tol < math.inf):
+            raise ValueError(f"freq_tol must be positive and finite, got {self.freq_tol}")
 
 
 @dataclass(frozen=True)

@@ -132,6 +132,17 @@ class TestRecover:
         assert code == EXIT_VALIDATION
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_freq_tol_exits_2(self, tmp_path, capsys, bad):
+        _, _, meas = self.make_fixture(tmp_path)
+        code = run_cli(
+            "recover", "--measurement", str(meas), "--k", "3", "--n", "128",
+            "--m", "64", "--matrix-seed", "3", "--freq-tol", bad,
+            "--out", str(tmp_path / "rec.json"),
+        )
+        assert code == EXIT_VALIDATION
+        assert "freq_tol" in capsys.readouterr().err
+
     def test_underdetermined_warns_but_succeeds(self, tmp_path, capsys, recwarn):
         _, _, meas = self.make_fixture(tmp_path, m=8, k=3)
         code = run_cli(

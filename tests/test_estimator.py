@@ -7,14 +7,15 @@ import math
 import numpy as np
 import pytest
 
-from cstones import estimator
+from cstones import estimator, recovery
 from cstones.estimator import (
     EstimateOutcome,
     amplitude_ls,
     build_atoms,
     estimate_sinusoid,
 )
-from cstones.model import SignalModel, SinusoidParams, sinusoid_samples, synthesize
+from cstones.model import SignalModel, SinusoidParams, draw_model, sinusoid_samples, synthesize
+from cstones.recovery import RecoveryConfig, RecoveryResult, recover
 from cstones.sensing import SUBSAMPLING, SensingMatrix, gaussian_matrix, measure
 
 
@@ -62,32 +63,89 @@ class TestMeasuredAtomsKernel:
             assert err <= 1e-12 * scale, (n, bracket, k, err)
 
 
-class TestFullBandCache:
+class TestRoundTableCache:
+    """The per-matrix LRU of round tables keyed on the bracket."""
+
     def test_warm_call_equals_cold_call(self):
         phi = gaussian_matrix(32, 64, seed=31)
         rng = np.random.default_rng(32)
         r_warmup, r = rng.normal(size=(2, 32))
-        estimator._full_band = None
+        estimator._cache.clear()
         cold = estimate_sinusoid(phi, r)
-        estimator._full_band = None
+        estimator._cache.clear()
         estimate_sinusoid(phi, r_warmup)
-        assert estimator._full_band[0] is phi
-        warm = estimate_sinusoid(phi, r)
+        assert estimator._cache_phi is phi
+        assert (0.0, math.pi) in estimator._cache
+        warm = estimate_sinusoid(phi, r)  # full band cached, later rounds built
+        hot = estimate_sinusoid(phi, r)  # every round cached
         for f in dataclasses.fields(EstimateOutcome):
             assert getattr(warm, f.name) == getattr(cold, f.name), f.name
+            assert getattr(hot, f.name) == getattr(cold, f.name), f.name
 
     def test_keyed_on_matrix_identity_and_grid(self):
-        # the grid is not part of the key: it is always the matrix's N + 1 nodes
         phi = gaussian_matrix(16, 32, seed=33)
         twin = gaussian_matrix(16, 32, seed=33)  # equal entries, other object
         r = np.random.default_rng(34).normal(size=16)
         estimate_sinusoid(phi, r)
-        first = estimator._full_band
+        first = estimator._cache[(0.0, math.pi)]
         estimate_sinusoid(phi, r, freq_tol=1e-6)
-        assert estimator._full_band is first
-        assert first[1].size == 33
+        assert estimator._cache[(0.0, math.pi)] is first
+        assert first[0].size == 33
         estimate_sinusoid(twin, r)
-        assert estimator._full_band[0] is twin
+        assert estimator._cache_phi is twin
+        assert estimator._cache[(0.0, math.pi)] is not first
+
+    def test_flagship_recover_cold_equals_warm(self, monkeypatch):
+        truth = draw_model(3, 128, math.pi / 128, preset="freq", seed=35)
+        phi = gaussian_matrix(64, 128, seed=36)
+        m = measure(phi, synthesize(truth))
+        estimator._cache.clear()
+        warm = recover(phi, m, RecoveryConfig(k=3))
+
+        def cold_estimate(*args, **kwargs):
+            estimator._cache.clear()
+            return estimate_sinusoid(*args, **kwargs)
+
+        monkeypatch.setattr(recovery, "estimate_sinusoid", cold_estimate)
+        cold = recover(phi, m, RecoveryConfig(k=3))
+        for f in dataclasses.fields(RecoveryResult):
+            if f.name != "signal":
+                assert getattr(warm, f.name) == getattr(cold, f.name), f.name
+        assert warm.signal.tobytes() == cold.signal.tobytes()
+
+    def test_capacity_bounded(self):
+        phi = gaussian_matrix(16, 32, seed=37)
+        rng = np.random.default_rng(38)
+        estimator._cache.clear()
+        brackets = set()
+        for r in rng.normal(size=(10, 16)):
+            brackets.update(estimate_sinusoid(phi, r).bracket_history[:-1])
+            assert len(estimator._cache) <= estimator._CACHE_SIZE
+        assert estimator._CACHE_SIZE == 16
+        assert len(brackets) > estimator._CACHE_SIZE
+        assert len(estimator._cache) == estimator._CACHE_SIZE
+
+    def test_full_band_kept_through_k3_recover(self):
+        truth = draw_model(3, 128, math.pi / 128, preset="freq", seed=39)
+        phi = gaussian_matrix(64, 128, seed=40)
+        m = measure(phi, synthesize(truth))
+        estimator._cache.clear()
+        estimate_sinusoid(phi, m.values)
+        full_band = estimator._cache[(0.0, math.pi)]
+        # the recover visits far more than 16 brackets; the entry every call
+        # touches must never be evicted and rebuilt
+        recover(phi, m, RecoveryConfig(k=3))
+        assert estimator._cache_phi is phi
+        assert estimator._cache[(0.0, math.pi)] is full_band
+
+    def test_cached_arrays_read_only(self):
+        phi = gaussian_matrix(16, 32, seed=41)
+        estimate_sinusoid(phi, np.random.default_rng(42).normal(size=16))
+        for omegas, tables in estimator._cache.values():
+            for a in (omegas, *tables):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[0] = 0.0
 
 
 class TestAmplitudeLs:
@@ -244,7 +302,7 @@ class TestEstimatorConfigValidation:
     def test_bad_tol(self):
         phi = gaussian_matrix(8, 16, seed=24)
         r = np.random.default_rng(25).normal(size=8)
-        for tol in (0.0, -1e-8):
+        for tol in (0.0, -1e-8, math.nan, math.inf):
             with pytest.raises(ValueError, match="freq_tol"):
                 estimate_sinusoid(phi, r, freq_tol=tol)
 

@@ -109,5 +109,6 @@ class TestRecover:
             RecoveryConfig(k=0)
         with pytest.raises(ValueError):
             RecoveryConfig(k=1, max_sweeps=0)
-        with pytest.raises(ValueError):
-            RecoveryConfig(k=1, freq_tol=0.0)
+        for tol in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="freq_tol"):
+                RecoveryConfig(k=1, freq_tol=tol)
