@@ -17,8 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimator import (
+    _inside_band,
     _measure_phasors,
     _measured_atoms,
+    _orthonormal_pairs,
     _phasors,
     amplitude_ls,
     build_atoms,
@@ -63,13 +65,7 @@ def _params_from_coef(frequencies, coef) -> tuple[SinusoidParams, ...]:
     """Components from coefficients ordered (cos_1, sin_1, cos_2, sin_2, ...)."""
     comps = []
     for idx, w in enumerate(frequencies):
-        w = float(w)
-        # SinusoidParams needs the open interval; boundary grid frequencies
-        # carry a degenerate sine column anyway.
-        if w <= 0.0:
-            w = math.nextafter(0.0, 1.0)
-        elif w >= math.pi:
-            w = math.nextafter(math.pi, 0.0)
+        w = _inside_band(float(w))
         a1 = float(coef[2 * idx + 1])  # sine coefficient
         a2 = float(coef[2 * idx])  # cosine coefficient
         comps.append(SinusoidParams.from_linear(w, a1, a2))
@@ -121,34 +117,6 @@ def grid_oracle(phi: SensingMatrix, r: np.ndarray, grid_size: int) -> tuple[floa
     return float(omegas[0]), float(s_vals[0])
 
 
-def _orthonormal_pairs(w: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal basis of each measured (cos, sin) pair in ``w`` (M x C x 2).
-
-    Regular pairs get Gram-Schmidt from the cosine column, so the captured
-    energy of a residual r is (q0 . r)^2 + (q1 . r)^2.  Degenerate pairs
-    (Gram determinant at most tol * trace^2, e.g. omega at 0 or pi where
-    the sine column vanishes) keep only their dominant column, normalized:
-    the rank-1 gain b_dom^2 / g_dom.  A zero dominant column gains nothing.
-    """
-    v, u = w[..., 0], w[..., 1]
-    gvv, guu = np.einsum("mki,mki->ik", w, w)
-    guv = np.einsum("ij,ij->j", u, v)
-    trace = gvv + guu
-    regular = gvv * guu - guv * guv > tol * trace * trace
-    q = np.empty_like(w)
-    inv_v = 1.0 / np.sqrt(np.where(regular, gvv, 1.0))
-    np.multiply(v, inv_v, out=q[..., 0])
-    np.multiply(q[..., 0], -(guv * inv_v), out=q[..., 1])
-    q[..., 1] += u
-    norm1 = np.einsum("ij,ij->j", q[..., 1], q[..., 1])
-    q[..., 1] *= 1.0 / np.sqrt(np.where(regular, norm1, 1.0))
-    for idx in np.nonzero(~regular)[0]:
-        g_dom, col = (guu[idx], u[:, idx]) if guu[idx] >= gvv[idx] else (gvv[idx], v[:, idx])
-        q[:, idx, 0] = col / math.sqrt(g_dom) if g_dom > 0 else 0.0
-        q[:, idx, 1] = 0.0
-    return q
-
-
 def grid_oracle_batch(
     phi: SensingMatrix, residuals: np.ndarray, grid_size: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -159,8 +127,8 @@ def grid_oracle_batch(
     chunk j's phasors are V with each row t rotated by exp(i alpha_j t),
     alpha_j the chunk's first node: one broadcast multiply per chunk and
     no per-chunk trigonometry.  Each chunk's measured pairs are
-    orthonormalized, so scoring every residual column is one GEMM and two
-    elementwise passes.  Returns per-column arrays (omega, s_omega); the
+    orthonormalized, so scoring every residual column is two GEMMs and a
+    sum of squares.  Returns per-column arrays (omega, s_omega); the
     reported s_omega is re-evaluated directly at the winning frequency.
     """
     if grid_size < 2:
@@ -192,10 +160,9 @@ def grid_oracle_batch(
         rotation = _phasors(np.array([start * delta]), n)
         np.multiply(rotation, block[:, :c], out=tile[:, :c])
         w = _measure_phasors(phi.entries, tile[:, :c])
-        q = _orthonormal_pairs(w, 1e-12)
-        z = residuals_t @ q.reshape(phi.m_rows, 2 * c)
-        np.square(z, out=z)
-        gain = z[:, 0::2] + z[:, 1::2]
+        q0, q1 = _orthonormal_pairs(w)
+        gain = np.square(residuals_t @ q0)
+        gain += np.square(residuals_t @ q1)
         j = np.argmax(gain, axis=1)
         g_max = gain[cols, j]
         better = g_max > best_gain
@@ -239,7 +206,7 @@ def bomp_recover(phi: SensingMatrix, m: Measurement, cfg: BompConfig) -> SignalM
         return SignalModel(components=(), n_samples=n)
 
     w = _measured_atoms(phi.entries, cand)
-    q = _orthonormal_pairs(w, 1e-12).reshape(phi.m_rows, -1)
+    q0, q1 = _orthonormal_pairs(w)
 
     allowed = np.ones(cand.size, dtype=bool)
     selected: list[int] = []
@@ -253,8 +220,7 @@ def bomp_recover(phi: SensingMatrix, m: Measurement, cfg: BompConfig) -> SignalM
                 stacklevel=2,
             )
             break
-        z = np.square(q.T @ r)
-        gain = z[0::2] + z[1::2]  # energy captured by each candidate pair
+        gain = np.square(q0.T @ r) + np.square(q1.T @ r)  # energy each pair captures
         gain = np.where(allowed, gain, -np.inf)
         pick = int(np.argmax(gain))
         selected.append(pick)

@@ -7,17 +7,20 @@ least-squares sense.  For a fixed frequency the optimal linear amplitudes
 
     A_w = [Phi @ sin_w, Phi @ cos_w]
 
-solve a 2x2 normal system in closed form; the frequency itself is found by
-an iterative grid search over [0, pi] that repeatedly re-grids the bracket
-around the best candidate ("frequency range refinement").  Every round lays
-N + 1 nodes over its bracket (N the matrix's column count), so the bracket
-shrinks by a factor of at most 2/N per round and a handful of rounds reaches
-the frequency tolerance ``freq_tol``, the search's one setting.
+solve a 2x2 normal system in closed form (``amplitude_ls``); the frequency
+itself is found by an iterative grid search over [0, pi] that repeatedly
+re-grids the bracket around the best candidate ("frequency range
+refinement").  Every round lays N + 1 nodes over its bracket (N the
+matrix's column count), so the bracket shrinks by a factor of at most 2/N
+per round and a handful of rounds reaches the frequency tolerance
+``freq_tol``, the search's one setting.
 
 Each round measures the atom pairs of all its grid nodes at once through
-one factored phasor kernel (``_measured_atoms``), which the baselines share.
-A round's table depends only on Phi and its bracket, so recent brackets'
-tables, the full band's among them, are kept per matrix and reused.
+one factored phasor kernel (``_measured_atoms``) and scores the residual
+against each pair's orthonormal basis (``_orthonormal_pairs``, which holds
+the rank-1 rule for degenerate pairs); the baselines share both.  A round's
+table depends only on Phi and its bracket, so recent brackets' tables, the
+full band's among them, are kept per matrix and reused.
 """
 
 from __future__ import annotations
@@ -67,27 +70,17 @@ def build_atoms(phi: SensingMatrix, omega: float) -> np.ndarray:
     return np.column_stack((phi.entries @ sin_w, phi.entries @ cos_w))
 
 
-def _solve_normal_2x2(g00, g01, g11, b0, b1, tol):
-    """Solve the 2x2 normal equations G a = b, elementwise over arrays.
+def _inside_band(omega: float) -> float:
+    """``omega`` moved one ulp inside (0, pi) if it lies on or past an end.
 
-    Falls back to rank-1 least squares on the dominant column wherever the
-    Gram determinant is at most tol * trace^2 (degenerate atom pairs, e.g.
-    omega in {0, pi} where the sine column vanishes).
+    SinusoidParams requires the open interval; the boundary atoms are
+    degenerate anyway, their sine column vanishing.
     """
-    det = g00 * g11 - g01 * g01
-    trace = g00 + g11
-    regular = det > tol * trace * trace
-    if np.all(regular):
-        return (g11 * b0 - g01 * b1) / det, (g00 * b1 - g01 * b0) / det
-    safe_det = np.where(regular, det, 1.0)
-    a1 = (g11 * b0 - g01 * b1) / safe_det
-    a2 = (g00 * b1 - g01 * b0) / safe_det
-    dom0 = g00 >= g11
-    fb1 = np.where((g00 > 0) & dom0, b0 / np.where(g00 > 0, g00, 1.0), 0.0)
-    fb2 = np.where((g11 > 0) & ~dom0, b1 / np.where(g11 > 0, g11, 1.0), 0.0)
-    a1 = np.where(regular, a1, fb1)
-    a2 = np.where(regular, a2, fb2)
-    return a1, a2
+    if omega <= 0.0:
+        return math.nextafter(0.0, 1.0)
+    if omega >= math.pi:
+        return math.nextafter(math.pi, 0.0)
+    return omega
 
 
 def amplitude_ls(a: np.ndarray, r: np.ndarray) -> tuple[float, float, float]:
@@ -109,9 +102,15 @@ def amplitude_ls(a: np.ndarray, r: np.ndarray) -> tuple[float, float, float]:
     g11 = float(col1 @ col1)
     b0 = float(col0 @ r)
     b1 = float(col1 @ r)
-    a1, a2 = _solve_normal_2x2(g00, g01, g11, b0, b1, _GRAM_DET_TOL)
-    a1 = float(a1)
-    a2 = float(a2)
+    det = g00 * g11 - g01 * g01
+    trace = g00 + g11
+    if det > _GRAM_DET_TOL * trace * trace:
+        a1 = (g11 * b0 - g01 * b1) / det
+        a2 = (g00 * b1 - g01 * b0) / det
+    elif g00 >= g11:  # degenerate pair: rank-1 fit on the dominant column
+        a1, a2 = (b0 / g00 if g00 > 0.0 else 0.0), 0.0
+    else:
+        a1, a2 = 0.0, (b1 / g11 if g11 > 0.0 else 0.0)
     res = r - col0 * a1 - col1 * a2
     return a1, a2, float(res @ res)
 
@@ -178,6 +177,37 @@ def _measured_atoms(phi_entries: np.ndarray, omegas) -> np.ndarray:
     return _measure_phasors(phi_entries, _phasors(omegas, phi_entries.shape[1]))
 
 
+def _orthonormal_pairs(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal basis (q0, q1) of each measured (cos, sin) pair in ``w``.
+
+    ``w`` is M x C x 2 as from ``_measured_atoms``; q0 and q1 are M x C.
+    Regular pairs get Gram-Schmidt from the cosine column, so the captured
+    energy of a residual r is (q0 . r)^2 + (q1 . r)^2.  Degenerate pairs
+    (Gram determinant at most _GRAM_DET_TOL * trace^2, e.g. omega at 0 or
+    pi where the sine column vanishes) keep only their dominant column,
+    normalized, and a zero q1: the rank-1 fit of ``amplitude_ls``.  A zero
+    dominant column gains nothing.  The estimator rounds, the grid oracle
+    and BOMP all take their pair bases from here.
+    """
+    v = np.ascontiguousarray(w[..., 0])
+    u = np.ascontiguousarray(w[..., 1])
+    gvv = np.einsum("ij,ij->j", v, v)
+    guu = np.einsum("ij,ij->j", u, u)
+    guv = np.einsum("ij,ij->j", u, v)
+    trace = gvv + guu
+    regular = gvv * guu - guv * guv > _GRAM_DET_TOL * trace * trace
+    inv_v = 1.0 / np.sqrt(np.where(regular, gvv, 1.0))
+    q0 = v * inv_v
+    q1 = q0 * -(guv * inv_v)
+    q1 += u
+    q1 *= 1.0 / np.sqrt(np.where(regular, np.einsum("ij,ij->j", q1, q1), 1.0))
+    for idx in np.nonzero(~regular)[0]:
+        g_dom, col = (guu[idx], u[:, idx]) if guu[idx] >= gvv[idx] else (gvv[idx], v[:, idx])
+        q0[:, idx] = col / math.sqrt(g_dom) if g_dom > 0 else 0.0
+        q1[:, idx] = 0.0
+    return q0, q1
+
+
 # Round tables of the current matrix (held, so an identity match is never a
 # recycled id), read-only, in an LRU keyed on the bracket.  Brackets follow
 # from earlier argmins, so sweeps revisit them and a hit equals a rebuild bit
@@ -190,7 +220,12 @@ _cache: dict = {}
 
 
 def _round_tables(phi: SensingMatrix, alpha: float, beta: float):
-    """Grid nodes over [alpha, beta] and their (u = sin, v = cos, Gram) tables."""
+    """Grid nodes over [alpha, beta] and their orthonormal pair tables (q0, q1).
+
+    Column k of q0 and q1 is an orthonormal basis of node k's measured
+    (cos, sin) pair, from ``_orthonormal_pairs``; a degenerate node has a
+    zero q1 column.
+    """
     global _cache_phi
     if _cache_phi is not phi:
         _cache.clear()
@@ -198,15 +233,10 @@ def _round_tables(phi: SensingMatrix, alpha: float, beta: float):
     entry = _cache.pop((alpha, beta), None)
     if entry is None:
         omegas = np.linspace(alpha, beta, phi.n_cols + 1)
-        w = _measured_atoms(phi.entries, omegas)
-        u = np.ascontiguousarray(w[..., 1])
-        v = np.ascontiguousarray(w[..., 0])
-        g00 = np.einsum("ij,ij->j", u, u)
-        g01 = np.einsum("ij,ij->j", u, v)
-        g11 = np.einsum("ij,ij->j", v, v)
-        for x in (omegas, u, v, g00, g01, g11):
+        q0, q1 = _orthonormal_pairs(_measured_atoms(phi.entries, omegas))
+        for x in (omegas, q0, q1):
             x.flags.writeable = False
-        entry = (omegas, (u, v, g00, g01, g11))
+        entry = (omegas, (q0, q1))
         if len(_cache) >= _CACHE_SIZE:
             del _cache[next(iter(_cache))]
     _cache[(alpha, beta)] = entry
@@ -214,17 +244,16 @@ def _round_tables(phi: SensingMatrix, alpha: float, beta: float):
 
 
 def _grid_eval(tables, r):
-    """Squared error at every grid node, from the closed-form amplitudes.
+    """Least-squares squared error of ``r`` against every node's atom pair.
 
-    The error is evaluated directly as ||r - u a1 - v a2||^2, not as
-    ||r||^2 minus the captured energy, so it keeps its relative precision
-    in late noiseless rounds where it is many orders below ||r||^2.
+    With each pair's orthonormal basis (q0, q1) the fit is the projection
+    q0 (q0 . r) + q1 (q1 . r).  The error is evaluated directly as
+    ||r - q0 (q0 . r) - q1 (q1 . r)||^2, not as ||r||^2 minus the captured
+    energy, so it keeps its relative precision in late noiseless rounds
+    where it is many orders below ||r||^2.
     """
-    u, v, g00, g01, g11 = tables
-    b0 = u.T @ r
-    b1 = v.T @ r
-    a1, a2 = _solve_normal_2x2(g00, g01, g11, b0, b1, _GRAM_DET_TOL)
-    res = r[:, None] - u * a1 - v * a2
+    q0, q1 = tables
+    res = r[:, None] - q0 * (q0.T @ r) - q1 * (q1.T @ r)
     return np.einsum("ij,ij->j", res, res)
 
 
@@ -295,14 +324,7 @@ def estimate_sinusoid(
         alpha, beta = new_alpha, new_beta
         brackets.append((alpha, beta))
 
-    # Keep omega strictly inside (0, pi); the boundary atoms are degenerate
-    # and SinusoidParams requires the open interval.
-    omega_hat = best_omega
-    if omega_hat <= 0.0:
-        omega_hat = math.nextafter(0.0, 1.0)
-    elif omega_hat >= math.pi:
-        omega_hat = math.nextafter(math.pi, 0.0)
-
+    omega_hat = _inside_band(best_omega)
     a1, a2, s_final = amplitude_ls(build_atoms(phi, omega_hat), r)
     params = SinusoidParams.from_linear(omega_hat, a1, a2)
     return EstimateOutcome(

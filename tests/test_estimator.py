@@ -63,6 +63,39 @@ class TestMeasuredAtomsKernel:
             assert err <= 1e-12 * scale, (n, bracket, k, err)
 
 
+class TestOrthonormalPairs:
+    """The one pair basis the estimator rounds, the grid oracle and BOMP score against."""
+
+    @pytest.mark.parametrize(
+        "phi", [gaussian_matrix(32, 64, seed=43), identity_phi(64)], ids=["gaussian", "identity"]
+    )
+    @pytest.mark.parametrize("bracket", [(0.0, math.pi), (1.3, 1.3 + 1e-6)], ids=["full", "narrow"])
+    def test_grid_eval_matches_per_node_reference(self, phi, bracket):
+        r = np.random.default_rng(44).normal(size=phi.m_rows)
+        estimator._cache.clear()
+        omegas, tables = estimator._round_tables(phi, *bracket)
+        s = estimator._grid_eval(tables, r)
+        ref = np.array([amplitude_ls(build_atoms(phi, float(w)), r)[2] for w in omegas])
+        np.testing.assert_allclose(s, ref, rtol=1e-9, atol=1e-12 * float(r @ r))
+
+    @pytest.mark.parametrize(
+        "phi", [gaussian_matrix(32, 64, seed=45), identity_phi(64)], ids=["gaussian", "identity"]
+    )
+    def test_regular_nodes_orthonormal_endpoints_rank_one(self, phi):
+        omegas = np.linspace(0.0, math.pi, phi.n_cols + 1)
+        w = estimator._measured_atoms(phi.entries, omegas)
+        q0, q1 = estimator._orthonormal_pairs(w)
+        assert q0.shape == q1.shape == (phi.m_rows, omegas.size)
+        for k in range(1, omegas.size - 1):
+            q = np.column_stack((q0[:, k], q1[:, k]))
+            np.testing.assert_allclose(q.T @ q, np.eye(2), rtol=0.0, atol=1e-12)
+        # at 0 and pi the sine column vanishes: the basis is the unit cosine column
+        for k in (0, omegas.size - 1):
+            assert np.all(q1[:, k] == 0.0)
+            cos_col = w[:, k, 0]
+            np.testing.assert_allclose(q0[:, k], cos_col / np.linalg.norm(cos_col), atol=1e-12)
+
+
 class TestRoundTableCache:
     """The per-matrix LRU of round tables keyed on the bracket."""
 
