@@ -2,7 +2,7 @@
 
 The package fits a small number of off-grid sinusoids directly to
 compressed measurements m = Phi @ x by cyclic least-squares model fitting:
-a refinement-based single-tone estimator (:mod:`cstones.estimator`) inside
+a grid-plus-Newton single-tone estimator (:mod:`cstones.estimator`) inside
 a greedy per-component loop (:mod:`cstones.recovery`), plus reference
 baselines and a reproducible Monte Carlo harness.
 """

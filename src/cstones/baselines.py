@@ -5,7 +5,7 @@ These exist to bracket the main recoverer from both sides: the oracle solver
 knows the true frequencies and bounds the error from below, while the
 grid-locked pursuit quantizes frequencies and bounds it from above on
 off-grid inputs.  The grid oracle is the brute-force anti-drift check for
-the refinement-based frequency search.
+the estimator's frequency search.
 """
 
 from __future__ import annotations

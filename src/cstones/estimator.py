@@ -7,20 +7,11 @@ least-squares sense.  For a fixed frequency the optimal linear amplitudes
 
     A_w = [Phi @ sin_w, Phi @ cos_w]
 
-solve a 2x2 normal system in closed form (``amplitude_ls``); the frequency
-itself is found by an iterative grid search over [0, pi] that repeatedly
-re-grids the bracket around the best candidate ("frequency range
-refinement").  Every round lays N + 1 nodes over its bracket (N the
-matrix's column count), so the bracket shrinks by a factor of at most 2/N
-per round and a handful of rounds reaches the frequency tolerance
-``freq_tol``, the search's one setting.
-
-Each round measures the atom pairs of all its grid nodes at once through
-one factored phasor kernel (``_measured_atoms``) and scores the residual
-against each pair's orthonormal basis (``_orthonormal_pairs``, which holds
-the rank-1 rule for degenerate pairs); the baselines share both.  A round's
-table depends only on Phi and its bracket, so recent brackets' tables, the
-full band's among them, are kept per matrix and reused.
+solve a 2x2 normal system in closed form (``amplitude_ls``), leaving the
+attained error s(omega) a function of frequency alone.  One grid round over
+the N + 1 full-band nodes, scored through the measured-atom kernel and pair
+bases that the baselines share, picks the best node; a bracketed Newton
+iteration on s' then polishes it to ``freq_tol``, the search's one setting.
 """
 
 from __future__ import annotations
@@ -40,9 +31,9 @@ __all__ = [
     "estimate_sinusoid",
 ]
 
-# Cap on refinement rounds.  A bracket of N + 1 nodes shrinks by at most 2/N
-# per round, so for N >= 3 the default freq_tol stops the search first.
-_MAX_REFINEMENTS = 60
+# Cap on Newton steps.  Even pure bisection narrows the round-1 bracket
+# (at most 2 pi / N wide) below the default freq_tol within 30 steps.
+_MAX_NEWTON_STEPS = 60
 # Atom pairs whose Gram determinant is at most this times trace^2 are solved
 # rank-1 (omega at 0 or pi, where the sine column vanishes).
 _GRAM_DET_TOL = 1e-12
@@ -52,9 +43,10 @@ _GRAM_DET_TOL = 1e-12
 class EstimateOutcome:
     """Result of one single-sinusoid estimation.
 
-    ``bracket_history`` records (alpha, beta) per round starting from the
-    initial bracket; ``best_s_history`` the running best squared error after
-    each round.  Both exist so callers can audit the refinement invariants.
+    ``refinements_used`` is 1 (the grid round) plus the Newton steps, and
+    ``best_s_history`` the running best squared error after each.
+    ``bracket_history`` records the full band, the grid round's bracket
+    and, when the Newton polish is kept, its final bracket.
     """
 
     params: SinusoidParams
@@ -186,8 +178,8 @@ def _orthonormal_pairs(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (Gram determinant at most _GRAM_DET_TOL * trace^2, e.g. omega at 0 or
     pi where the sine column vanishes) keep only their dominant column,
     normalized, and a zero q1: the rank-1 fit of ``amplitude_ls``.  A zero
-    dominant column gains nothing.  The estimator rounds, the grid oracle
-    and BOMP all take their pair bases from here.
+    dominant column gains nothing.  The estimator's grid round, the grid
+    oracle and BOMP all take their pair bases from here.
     """
     v = np.ascontiguousarray(w[..., 0])
     u = np.ascontiguousarray(w[..., 1])
@@ -208,39 +200,21 @@ def _orthonormal_pairs(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q0, q1
 
 
-# Round tables of the current matrix (held, so an identity match is never a
-# recycled id), read-only, in an LRU keyed on the bracket.  Brackets follow
-# from earlier argmins, so sweeps revisit them and a hit equals a rebuild bit
-# for bit.  Each call touches (0, pi), then cycles through K components x ~4
-# rounds, so fewer than 4K + 1 entries never hit.  16 serve K <= 3 (2.2 MB at
-# N=128, M=64); a larger K may thrash, costing one dict lookup a round more.
-_CACHE_SIZE = 16
-_cache_phi = None
-_cache: dict = {}
+# The most recent matrix, held so an identity match is never a recycled id,
+# with its read-only full-band table.
+_full_band_cache = None
 
 
-def _round_tables(phi: SensingMatrix, alpha: float, beta: float):
-    """Grid nodes over [alpha, beta] and their orthonormal pair tables (q0, q1).
-
-    Column k of q0 and q1 is an orthonormal basis of node k's measured
-    (cos, sin) pair, from ``_orthonormal_pairs``; a degenerate node has a
-    zero q1 column.
-    """
-    global _cache_phi
-    if _cache_phi is not phi:
-        _cache.clear()
-        _cache_phi = phi
-    entry = _cache.pop((alpha, beta), None)
-    if entry is None:
-        omegas = np.linspace(alpha, beta, phi.n_cols + 1)
+def _full_band(phi: SensingMatrix):
+    """The N + 1 nodes over [0, pi] and their orthonormal pair tables (q0, q1)."""
+    global _full_band_cache
+    if _full_band_cache is None or _full_band_cache[0] is not phi:
+        omegas = np.linspace(0.0, math.pi, phi.n_cols + 1)
         q0, q1 = _orthonormal_pairs(_measured_atoms(phi.entries, omegas))
         for x in (omegas, q0, q1):
             x.flags.writeable = False
-        entry = (omegas, (q0, q1))
-        if len(_cache) >= _CACHE_SIZE:
-            del _cache[next(iter(_cache))]
-    _cache[(alpha, beta)] = entry
-    return entry
+        _full_band_cache = (phi, omegas, (q0, q1))
+    return _full_band_cache[1:]
 
 
 def _grid_eval(tables, r):
@@ -249,41 +223,57 @@ def _grid_eval(tables, r):
     With each pair's orthonormal basis (q0, q1) the fit is the projection
     q0 (q0 . r) + q1 (q1 . r).  The error is evaluated directly as
     ||r - q0 (q0 . r) - q1 (q1 . r)||^2, not as ||r||^2 minus the captured
-    energy, so it keeps its relative precision in late noiseless rounds
-    where it is many orders below ||r||^2.
+    energy, so it keeps its relative precision at a node on a noiseless
+    tone, where it is many orders below ||r||^2.
     """
     q0, q1 = tables
     res = r[:, None] - q0 * (q0.T @ r) - q1 * (q1.T @ r)
     return np.einsum("ij,ij->j", res, res)
 
 
+def _s_derivatives(phi_entries: np.ndarray, r: np.ndarray, omega: float):
+    """s(omega) = min_x ||r - A x||^2 and its exact derivatives s', s''.
+
+    One product of Phi with the t^0-, t^1- and t^2-weighted sin/cos columns
+    gives the pair A and its derivatives A', A''.  With G = A^T A, the fit
+    x = G^-1 A^T r and its error e = r - A x, s' = -2 e . A'x (envelope
+    theorem) and s'' = 2 ||A'x||^2 - 2 e . A''x - 2 c^T G^-1 c, where
+    c = A'^T e - A^T A'x is G dx/domega.  A degenerate pair (omega within
+    rounding of 0 or pi) has no 2x2 fit: s is then inf and s', s'' NaN.
+    """
+    t = np.arange(1, phi_entries.shape[1] + 1, dtype=float)
+    sin_w, cos_w = sinusoid_samples(omega, t.size)
+    cols = np.column_stack((sin_w, cos_w, t * cos_w, -t * sin_w, -t * t * sin_w, -t * t * cos_w))
+    a, da, d2a = np.hsplit(phi_entries @ cols, 3)
+    (g00, g01), (_, g11) = a.T @ a
+    det = g00 * g11 - g01 * g01
+    if not det > _GRAM_DET_TOL * (g00 + g11) ** 2:
+        return math.inf, math.nan, math.nan
+    g_inv = np.array([[g11, -g01], [-g01, g00]]) / det
+    x = g_inv @ (a.T @ r)
+    e = r - a @ x
+    v = da @ x
+    c = da.T @ e - a.T @ v
+    return float(e @ e), -2.0 * float(e @ v), 2.0 * float(v @ v - e @ (d2a @ x) - c @ g_inv @ c)
+
+
 def estimate_sinusoid(
     phi: SensingMatrix, r: np.ndarray, freq_tol: float = 1e-8
 ) -> EstimateOutcome:
-    """Estimate the best-matching sinusoid for a residual measurement.
+    """Estimate the sinusoid that best explains the residual measurement ``r``.
 
-    Each round lays a uniform grid of N + 1 frequencies over the current
-    bracket [alpha, beta], starting from the full [0, pi], solves the
-    closed-form amplitude problem at every node, and keeps the global best
-    (strict improvement, lowest index on ties).  The bracket then contracts
-    to the grid neighbors of the best-known frequency and the search repeats
-    until the bracket is narrower than ``freq_tol``.
-
-    Parameters
-    ----------
-    phi : SensingMatrix
-        Measurement operator.
-    r : np.ndarray
-        Residual measurement vector of length M; must be nonzero.
-    freq_tol : float
-        Bracket width at which the search stops; must be positive and finite.
-
-    Returns
-    -------
-    EstimateOutcome
-        Final parameters, attained squared error, and per-round history.
-        The returned residual_sq is exactly ``amplitude_ls`` re-evaluated
-        at the returned frequency.
+    ``r`` has length M and must be nonzero; ``freq_tol``, positive and
+    finite, is the bracket width at which the search stops.  One grid round
+    takes the best full-band node j (lowest index on ties); Newton steps on
+    s' then polish it inside [omega_(j-1), omega_(j+1)], starting
+    mid-bracket when j is a band end, whose pair is degenerate.  Each
+    evaluated point replaces the bracket end whose s' sign it shares; a
+    step that leaves the bracket or meets s'' <= 0 bisects, and one shorter
+    than freq_tol / 2 is lengthened to it, so that the bracket closes from
+    both sides.  The polished frequency is the latest Newton point in the
+    bracket (else its end of lower s), kept only if its error is no larger
+    than node j's.  The returned residual_sq is exactly ``amplitude_ls``
+    re-evaluated at the returned frequency.
     """
     if not (0.0 < freq_tol < math.inf):
         raise ValueError(f"freq_tol must be positive and finite, got {freq_tol}")
@@ -292,45 +282,46 @@ def estimate_sinusoid(
         raise ValueError(f"residual length {r.shape} does not match matrix m={phi.m_rows}")
     if float(r @ r) == 0.0:
         raise ValueError("residual is identically zero; nothing to estimate")
+    n = phi.n_cols
+    if n < 2:
+        raise ValueError(f"the frequency grid needs N >= 2 columns, got N={n}")
 
-    grid_points = phi.n_cols
-    if grid_points < 2:
-        raise ValueError(f"the frequency grid needs N >= 2 columns, got N={grid_points}")
-    alpha, beta = 0.0, math.pi
-    best_s = math.inf
-    best_omega = alpha
-    brackets = [(alpha, beta)]
-    s_history = []
-    rounds = 0
+    omegas, tables = _full_band(phi)
+    s = _grid_eval(tables, r)
+    j = int(np.argmin(s))
+    lo, hi = max(j - 1, 0), min(j + 1, n)
+    a, b, s_a, s_b = float(omegas[lo]), float(omegas[hi]), float(s[lo]), float(s[hi])
+    brackets = [(0.0, math.pi), (a, b)]
+    s_history = [float(s[j])]
+    x = omega = float(omegas[j]) if 0 < j < n else 0.5 * (a + b)
+    while b - a >= freq_tol and len(s_history) <= _MAX_NEWTON_STEPS:
+        s_x, d1, d2 = _s_derivatives(phi.entries, r, x)
+        s_history.append(min(s_history[-1], s_x))
+        if d1 > 0.0:
+            b, s_b = x, s_x
+        else:
+            a, s_a = x, s_x
+        newton = x - d1 / d2 if d2 > 0.0 else math.nan
+        if a <= newton <= b:
+            omega = newton
+            step = newton - x
+            x += step if abs(step) >= freq_tol / 2 else math.copysign(freq_tol / 2, step)
+        elif not a <= omega <= b:
+            omega = a if s_a <= s_b else b
+        if not a < x < b:
+            x = 0.5 * (a + b)
 
-    while (beta - alpha) >= freq_tol and rounds < _MAX_REFINEMENTS:
-        omegas, tables = _round_tables(phi, alpha, beta)
-        s = _grid_eval(tables, r)
-        j = int(np.argmin(s))
-        improved = bool(s[j] < best_s)
-        if improved:
-            best_s = float(s[j])
-            best_omega = float(omegas[j])
-        rounds += 1
-        s_history.append(best_s)
-        # Recenter on the grid node nearest the incumbent frequency; when the
-        # round improved this is the argmin node itself.  Missing neighbors at
-        # the grid edge clamp to the current bracket endpoint.
-        i_star = j if improved else int(np.argmin(np.abs(omegas - best_omega)))
-        new_alpha = max(float(omegas[i_star - 1]), alpha) if i_star >= 1 else alpha
-        new_beta = min(float(omegas[i_star + 1]), beta) if i_star <= grid_points - 1 else beta
-        if not improved and new_alpha == alpha and new_beta == beta:
-            break
-        alpha, beta = new_alpha, new_beta
-        brackets.append((alpha, beta))
-
-    omega_hat = _inside_band(best_omega)
+    omega_hat = _inside_band(omega)
     a1, a2, s_final = amplitude_ls(build_atoms(phi, omega_hat), r)
-    params = SinusoidParams.from_linear(omega_hat, a1, a2)
+    if s_final > s_history[0]:
+        omega_hat = _inside_band(float(omegas[j]))
+        a1, a2, s_final = amplitude_ls(build_atoms(phi, omega_hat), r)
+    elif len(s_history) > 1:
+        brackets.append((a, b))
     return EstimateOutcome(
-        params=params,
+        params=SinusoidParams.from_linear(omega_hat, a1, a2),
         residual_sq=s_final,
-        refinements_used=rounds,
+        refinements_used=len(s_history),
         bracket_history=tuple(brackets),
         best_s_history=tuple(s_history),
     )

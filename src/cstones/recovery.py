@@ -118,7 +118,10 @@ def recover(
 
     Deterministic for fixed inputs.  Emits a warning (and still runs) when
     3k exceeds the measurement count, i.e. more parameters than equations.
-    A zero measurement returns the all-zero model immediately.
+    A zero measurement returns the all-zero model immediately.  Scaling
+    ``m`` by a power of two scales the amplitudes, the signal and the
+    residual norms by it and changes nothing else, bit for bit, as long as
+    no result overflows or turns subnormal.
     """
     if len(m.values) != phi.m_rows:
         raise ValueError(f"measurement length {len(m.values)} != matrix m={phi.m_rows}")
@@ -131,9 +134,11 @@ def recover(
             stacklevel=2,
         )
 
-    mv = m.values
-    m_norm = float(np.linalg.norm(mv))
-    if m_norm == 0.0:
+    # Run on m / 2^e with max |m / 2^e| in [0.5, 1), so no squared norm
+    # overflows or underflows, and scale back by 2^e at the end; scaling by
+    # a power of two is exact, so the result is scale-equivariant bit for bit.
+    m_max = float(np.max(np.abs(m.values)))
+    if m_max == 0.0:
         model = _assemble_model([None] * k, n)
         return RecoveryResult(
             model=model,
@@ -143,6 +148,9 @@ def recover(
             sweep_residual_norms=(),
         )
 
+    e = math.frexp(m_max)[1]
+    mv = np.ldexp(m.values, -e)
+    m_norm = float(np.linalg.norm(mv))
     params: list[SinusoidParams | None] = [None] * k
     samples = [np.zeros(n) for _ in range(k)]
     measured = [np.zeros(phi.m_rows) for _ in range(k)]
@@ -199,15 +207,19 @@ def recover(
         if converged and not pending_zero:
             break
 
+    params = [
+        None if p is None else SinusoidParams(p.omega, math.ldexp(p.amplitude, e), p.phase)
+        for p in params
+    ]
     model = _assemble_model(params, n)
     signal = synthesize(model)
-    final_norm = float(np.linalg.norm(mv - phi.entries @ signal))
+    final_norm = float(np.linalg.norm(mv - phi.entries @ np.ldexp(signal, -e)))
     return RecoveryResult(
         model=model,
         signal=signal,
         sweeps_used=len(sweep_norms),
-        final_residual_norm=final_norm,
-        sweep_residual_norms=tuple(sweep_norms),
+        final_residual_norm=math.ldexp(final_norm, e),
+        sweep_residual_norms=tuple(math.ldexp(x, e) for x in sweep_norms),
     )
 
 

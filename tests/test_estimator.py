@@ -1,5 +1,5 @@
 """Tests for the single-sinusoid estimator: closed-form amplitudes and the
-bracket-refined frequency search."""
+grid-plus-Newton frequency search."""
 
 import dataclasses
 import math
@@ -72,8 +72,11 @@ class TestOrthonormalPairs:
     @pytest.mark.parametrize("bracket", [(0.0, math.pi), (1.3, 1.3 + 1e-6)], ids=["full", "narrow"])
     def test_grid_eval_matches_per_node_reference(self, phi, bracket):
         r = np.random.default_rng(44).normal(size=phi.m_rows)
-        estimator._cache.clear()
-        omegas, tables = estimator._round_tables(phi, *bracket)
+        if bracket == (0.0, math.pi):
+            omegas, tables = estimator._full_band(phi)
+        else:
+            omegas = np.linspace(*bracket, phi.n_cols + 1)
+            tables = estimator._orthonormal_pairs(estimator._measured_atoms(phi.entries, omegas))
         s = estimator._grid_eval(tables, r)
         ref = np.array([amplitude_ls(build_atoms(phi, float(w)), r)[2] for w in omegas])
         np.testing.assert_allclose(s, ref, rtol=1e-9, atol=1e-12 * float(r @ r))
@@ -97,46 +100,44 @@ class TestOrthonormalPairs:
 
 
 class TestRoundTableCache:
-    """The per-matrix LRU of round tables keyed on the bracket."""
+    """The one cached round-1 table: the full band of the most recent matrix."""
 
-    def test_warm_call_equals_cold_call(self):
+    def test_warm_call_equals_cold_call(self, monkeypatch):
         phi = gaussian_matrix(32, 64, seed=31)
         rng = np.random.default_rng(32)
         r_warmup, r = rng.normal(size=(2, 32))
-        estimator._cache.clear()
+        monkeypatch.setattr(estimator, "_full_band_cache", None)
         cold = estimate_sinusoid(phi, r)
-        estimator._cache.clear()
+        monkeypatch.setattr(estimator, "_full_band_cache", None)
         estimate_sinusoid(phi, r_warmup)
-        assert estimator._cache_phi is phi
-        assert (0.0, math.pi) in estimator._cache
-        warm = estimate_sinusoid(phi, r)  # full band cached, later rounds built
-        hot = estimate_sinusoid(phi, r)  # every round cached
+        assert estimator._full_band_cache[0] is phi
+        warm = estimate_sinusoid(phi, r)
         for f in dataclasses.fields(EstimateOutcome):
             assert getattr(warm, f.name) == getattr(cold, f.name), f.name
-            assert getattr(hot, f.name) == getattr(cold, f.name), f.name
 
     def test_keyed_on_matrix_identity_and_grid(self):
         phi = gaussian_matrix(16, 32, seed=33)
         twin = gaussian_matrix(16, 32, seed=33)  # equal entries, other object
         r = np.random.default_rng(34).normal(size=16)
         estimate_sinusoid(phi, r)
-        first = estimator._cache[(0.0, math.pi)]
+        first = estimator._full_band_cache
         estimate_sinusoid(phi, r, freq_tol=1e-6)
-        assert estimator._cache[(0.0, math.pi)] is first
-        assert first[0].size == 33
+        assert estimator._full_band_cache is first
+        omegas, _ = first[1:]
+        assert omegas.size == 33 and omegas[0] == 0.0 and omegas[-1] == math.pi
         estimate_sinusoid(twin, r)
-        assert estimator._cache_phi is twin
-        assert estimator._cache[(0.0, math.pi)] is not first
+        assert estimator._full_band_cache[0] is twin
+        assert estimator._full_band_cache is not first
 
     def test_flagship_recover_cold_equals_warm(self, monkeypatch):
         truth = draw_model(3, 128, math.pi / 128, preset="freq", seed=35)
         phi = gaussian_matrix(64, 128, seed=36)
         m = measure(phi, synthesize(truth))
-        estimator._cache.clear()
+        monkeypatch.setattr(estimator, "_full_band_cache", None)
         warm = recover(phi, m, RecoveryConfig(k=3))
 
         def cold_estimate(*args, **kwargs):
-            estimator._cache.clear()
+            estimator._full_band_cache = None
             return estimate_sinusoid(*args, **kwargs)
 
         monkeypatch.setattr(recovery, "estimate_sinusoid", cold_estimate)
@@ -146,39 +147,24 @@ class TestRoundTableCache:
                 assert getattr(warm, f.name) == getattr(cold, f.name), f.name
         assert warm.signal.tobytes() == cold.signal.tobytes()
 
-    def test_capacity_bounded(self):
-        phi = gaussian_matrix(16, 32, seed=37)
-        rng = np.random.default_rng(38)
-        estimator._cache.clear()
-        brackets = set()
-        for r in rng.normal(size=(10, 16)):
-            brackets.update(estimate_sinusoid(phi, r).bracket_history[:-1])
-            assert len(estimator._cache) <= estimator._CACHE_SIZE
-        assert estimator._CACHE_SIZE == 16
-        assert len(brackets) > estimator._CACHE_SIZE
-        assert len(estimator._cache) == estimator._CACHE_SIZE
-
     def test_full_band_kept_through_k3_recover(self):
         truth = draw_model(3, 128, math.pi / 128, preset="freq", seed=39)
         phi = gaussian_matrix(64, 128, seed=40)
         m = measure(phi, synthesize(truth))
-        estimator._cache.clear()
         estimate_sinusoid(phi, m.values)
-        full_band = estimator._cache[(0.0, math.pi)]
-        # the recover visits far more than 16 brackets; the entry every call
-        # touches must never be evicted and rebuilt
+        full_band = estimator._full_band_cache
+        # every estimate of the recover reuses the entry, never rebuilding it
         recover(phi, m, RecoveryConfig(k=3))
-        assert estimator._cache_phi is phi
-        assert estimator._cache[(0.0, math.pi)] is full_band
+        assert estimator._full_band_cache is full_band
 
     def test_cached_arrays_read_only(self):
         phi = gaussian_matrix(16, 32, seed=41)
         estimate_sinusoid(phi, np.random.default_rng(42).normal(size=16))
-        for omegas, tables in estimator._cache.values():
-            for a in (omegas, *tables):
-                assert not a.flags.writeable
-                with pytest.raises(ValueError):
-                    a[0] = 0.0
+        omegas, tables = estimator._full_band_cache[1:]
+        for a in (omegas, *tables):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
 
 
 class TestAmplitudeLs:
@@ -306,6 +292,21 @@ class TestEstimateSinusoid:
         bound = math.ceil(math.log(math.pi / 1e-8) / math.log(48 / 2)) + 1
         assert out.refinements_used <= bound
 
+    @pytest.mark.parametrize(
+        "omega",
+        [0.2 * math.pi / 128, 0.5 * math.pi / 128, math.pi - 0.2 * math.pi / 128,
+         math.pi - 0.5 * math.pi / 128],
+        ids=["0.2-above-0", "0.5-above-0", "0.2-below-pi", "0.5-below-pi"],
+    )
+    def test_band_edge_tone_polished(self, omega):
+        # round 1 picks a node at or next to a band end; from an end node,
+        # whose pair is degenerate, the Newton polish must still run
+        phi = gaussian_matrix(64, 128, seed=46)
+        r = measure(phi, synthesize(SignalModel((SinusoidParams(omega, 1.0, 0.3),), 128))).values
+        out = estimate_sinusoid(phi, r)
+        assert abs(out.params.omega - omega) < 1e-9
+        assert out.residual_sq < 1e-12 * float(r @ r)
+
     def test_zero_residual_rejected(self):
         phi = gaussian_matrix(8, 16, seed=21)
         with pytest.raises(ValueError):
@@ -322,6 +323,32 @@ class TestEstimateSinusoid:
         # node 0 won round 1: the bracket contracted to its neighbors [0, pi/4]
         assert out.bracket_history[1] == (0.0, math.pi / 4)
         assert out.params.omega <= math.pi / 4
+
+
+class TestSDerivatives:
+    """The Newton step's s, s', s'' against amplitude_ls and central differences."""
+
+    @pytest.mark.parametrize(
+        "phi", [gaussian_matrix(32, 64, seed=47), identity_phi(64)], ids=["gaussian", "identity"]
+    )
+    @pytest.mark.parametrize("noise", [0.0, 0.3], ids=["noiseless", "noisy"])
+    def test_matches_central_differences(self, phi, noise):
+        truth = 1.234
+        x = synthesize(SignalModel((SinusoidParams(truth, 1.0, 0.7),), 64))
+        rng = np.random.default_rng(48)
+        r = measure(phi, x).values + noise * rng.normal(size=phi.m_rows)
+
+        def s_ref(w):
+            return amplitude_ls(build_atoms(phi, w), r)[2]
+
+        scale = float(r @ r)
+        h = 1e-5
+        for w in (0.3, truth - 0.02, truth + 0.003, 2.9):
+            s, d1, d2 = estimator._s_derivatives(phi.entries, r, w)
+            lo, mid, hi = s_ref(w - h), s_ref(w), s_ref(w + h)
+            assert s == pytest.approx(mid, rel=1e-10, abs=1e-14 * scale)
+            assert d1 == pytest.approx((hi - lo) / (2 * h), rel=1e-5, abs=1e-6 * scale * 64)
+            assert d2 == pytest.approx((hi - 2 * mid + lo) / h**2, rel=1e-5, abs=1e-5 * scale * 64**2)
 
 
 class TestEstimatorConfigValidation:

@@ -6,9 +6,16 @@ import numpy as np
 import pytest
 
 from cstones.estimator import estimate_sinusoid
-from cstones.model import SignalModel, SinusoidParams, draw_model, synthesize
+from cstones.model import (
+    NoiseSpec,
+    SignalModel,
+    SinusoidParams,
+    add_noise,
+    draw_model,
+    synthesize,
+)
 from cstones.recovery import RecoveryConfig, recover
-from cstones.sensing import SUBSAMPLING, SensingMatrix, gaussian_matrix, measure
+from cstones.sensing import SUBSAMPLING, Measurement, SensingMatrix, gaussian_matrix, measure
 
 
 def identity_phi(n):
@@ -112,3 +119,44 @@ class TestRecover:
         for tol in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="freq_tol"):
                 RecoveryConfig(k=1, freq_tol=tol)
+
+
+class TestScaleEquivariance:
+    """Scaling m scales the recovered amplitudes, signal and norms, nothing else."""
+
+    @staticmethod
+    def noisy_instance():
+        # noisy, so every residual norm stays a normal float at 2^-990 scale
+        truth = draw_model(2, 32, math.pi / 32, "sinu", seed=15)
+        x = add_noise(synthesize(truth), NoiseSpec(snr_db=10.0, seed=16))
+        phi = gaussian_matrix(16, 32, seed=17)
+        return phi, measure(phi, x)
+
+    @pytest.mark.parametrize("k", [-990, -3, 5, 600])
+    def test_power_of_two_scaling_is_exact(self, k):
+        phi, m = self.noisy_instance()
+        base = recover(phi, m, RecoveryConfig(k=2))
+        scaled = recover(phi, Measurement(np.ldexp(m.values, k), m.matrix_seed), RecoveryConfig(k=2))
+        assert scaled.sweeps_used == base.sweeps_used
+        for a, b in zip(base.model.components, scaled.model.components):
+            assert (b.omega, b.amplitude, b.phase) == (a.omega, math.ldexp(a.amplitude, k), a.phase)
+        assert scaled.signal.tobytes() == np.ldexp(base.signal, k).tobytes()
+        assert scaled.final_residual_norm == math.ldexp(base.final_residual_norm, k)
+        assert scaled.sweep_residual_norms == tuple(
+            math.ldexp(v, k) for v in base.sweep_residual_norms
+        )
+
+    @pytest.mark.parametrize("c", [1e200, 1e-300, -1.0])
+    def test_any_scale_keeps_frequencies(self, c):
+        phi, m = self.noisy_instance()
+        base = recover(phi, m, RecoveryConfig(k=2))
+        scaled = recover(phi, Measurement(m.values * c, m.matrix_seed), RecoveryConfig(k=2))
+        np.testing.assert_allclose(
+            scaled.model.frequencies, base.model.frequencies, rtol=0.0, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            [p.amplitude for p in scaled.model.components],
+            [abs(c) * p.amplitude for p in base.model.components],
+            rtol=1e-9,
+        )
+        assert math.isfinite(scaled.final_residual_norm)
