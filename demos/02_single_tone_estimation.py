@@ -18,7 +18,7 @@ from cstones import (
     SinusoidParams,
     estimate_sinusoid,
     gaussian_matrix,
-    grid_oracle,
+    grid_oracle_batch,
     measure,
     synthesize,
 )
@@ -50,6 +50,7 @@ for i, s in enumerate(outcome.best_s_history):
 
 # Sanity: a brute-force scan over a dense uniform frequency grid lands on
 # the same place (this is the anti-drift oracle used in the test suite).
-w_grid, s_grid = grid_oracle(phi, r, 100_000)
-print(f"\ndense-grid argmin: {w_grid:.8f} (polished estimate {est.omega:.8f})")
-print(f"polished error {outcome.residual_sq:.3e} <= grid error {s_grid:.3e}")
+# The scan takes residuals as columns, so one residual is an M x 1 batch.
+w_grid, s_grid = grid_oracle_batch(phi, r[:, None], 100_000)
+print(f"\ndense-grid argmin: {w_grid[0]:.8f} (polished estimate {est.omega:.8f})")
+print(f"polished error {outcome.residual_sq:.3e} <= grid error {s_grid[0]:.3e}")

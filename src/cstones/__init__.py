@@ -7,13 +7,7 @@ a greedy per-component loop (:mod:`cstones.recovery`), plus reference
 baselines and a reproducible Monte Carlo harness.
 """
 
-from .baselines import (
-    BompConfig,
-    bomp_recover,
-    grid_oracle,
-    grid_oracle_batch,
-    oracle_ls,
-)
+from .baselines import bomp_recover, grid_oracle_batch, oracle_ls
 from .estimator import (
     EstimateOutcome,
     amplitude_ls,
@@ -84,9 +78,7 @@ __all__ = [
     "RecoveryConfig",
     "RecoveryResult",
     "recover",
-    "BompConfig",
     "oracle_ls",
-    "grid_oracle",
     "grid_oracle_batch",
     "bomp_recover",
     "ExperimentSpec",

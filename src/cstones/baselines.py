@@ -1,5 +1,6 @@
 """Reference recoverers: genie-aided least squares, a dense grid oracle, and
-a band-excluded orthogonal matching pursuit over an oversampled DFT grid.
+a band-excluded orthogonal matching pursuit over the 5x oversampled DFT grid,
+with exclusion radius pi/N.
 
 These exist to bracket the main recoverer from both sides: the oracle solver
 knows the true frequencies and bounds the error from below, while the
@@ -11,8 +12,6 @@ the estimator's frequency search.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,9 +28,7 @@ from .model import SignalModel, SinusoidParams
 from .sensing import Measurement, SensingMatrix
 
 __all__ = [
-    "BompConfig",
     "oracle_ls",
-    "grid_oracle",
     "grid_oracle_batch",
     "bomp_recover",
 ]
@@ -40,25 +37,8 @@ __all__ = [
 # block and of every per-chunk GEMM operand.
 _SCAN_CHUNK = 512
 
-
-@dataclass(frozen=True)
-class BompConfig:
-    """Band-excluded pursuit settings; ``k`` counts conjugate atom pairs.
-
-    ``band_radius`` defaults to pi/N at call time when left ``None``.
-    """
-
-    k: int
-    band_radius: float | None = None
-    frame_c: int = 5
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise ValueError(f"k must be >= 0, got {self.k}")
-        if self.band_radius is not None and self.band_radius <= 0.0:
-            raise ValueError(f"band_radius must be positive, got {self.band_radius}")
-        if self.frame_c < 1:
-            raise ValueError(f"frame_c must be >= 1, got {self.frame_c}")
+# BOMP's candidate grid oversamples the N-point DFT grid this many times.
+_BOMP_OVERSAMPLING = 5
 
 
 def _params_from_coef(frequencies, coef) -> tuple[SinusoidParams, ...]:
@@ -105,31 +85,23 @@ def oracle_ls(phi: SensingMatrix, m: Measurement, true_frequencies) -> SignalMod
     return SignalModel(components=_params_from_coef(freqs, coef), n_samples=phi.n_cols)
 
 
-def grid_oracle(phi: SensingMatrix, r: np.ndarray, grid_size: int) -> tuple[float, float]:
-    """Brute-force minimizer of the single-sinusoid squared error on [0, pi].
-
-    Evaluates the amplitude-optimized squared error at ``grid_size``
-    uniformly spaced frequencies and returns (omega, s_omega) for the exact
-    grid argmin, lowest index on ties.
-    """
-    r = np.asarray(r, dtype=float)
-    omegas, s_vals = grid_oracle_batch(phi, r[:, None], grid_size)
-    return float(omegas[0]), float(s_vals[0])
-
-
 def grid_oracle_batch(
     phi: SensingMatrix, residuals: np.ndarray, grid_size: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`grid_oracle` over the columns of ``residuals``.
+    """Brute-force minimizer of the single-sinusoid squared error on [0, pi],
+    for every column of the M x B ``residuals``.
 
-    The grid omega_i = i * delta is scanned in chunks of ``_SCAN_CHUNK``
-    nodes.  One fixed block V[t, k] = exp(i k delta t) is built once, and
-    chunk j's phasors are V with each row t rotated by exp(i alpha_j t),
-    alpha_j the chunk's first node: one broadcast multiply per chunk and
-    no per-chunk trigonometry.  Each chunk's measured pairs are
-    orthonormalized, so scoring every residual column is two GEMMs and a
-    sum of squares.  Returns per-column arrays (omega, s_omega); the
-    reported s_omega is re-evaluated directly at the winning frequency.
+    Evaluates the amplitude-optimized squared error at ``grid_size``
+    uniformly spaced frequencies and keeps the exact grid argmin of each
+    column, lowest index on ties.  The grid omega_i = i * delta is scanned
+    in chunks of ``_SCAN_CHUNK`` nodes.  One fixed block
+    V[t, k] = exp(i k delta t) is built once, and chunk j's phasors are V
+    with each row t rotated by exp(i alpha_j t), alpha_j the chunk's first
+    node: one broadcast multiply per chunk and no per-chunk trigonometry.
+    Each chunk's measured pairs are orthonormalized, so scoring every
+    residual column is two GEMMs and a sum of squares.  Returns per-column
+    arrays (omega, s_omega); the reported s_omega is re-evaluated directly
+    at the winning frequency.
     """
     if grid_size < 2:
         raise ValueError(f"grid_size must be >= 2, got {grid_size}")
@@ -186,48 +158,47 @@ def _candidate_frequencies(oversampling: int, n: int) -> np.ndarray:
     return freqs[freqs <= math.pi + 1e-12]
 
 
-def bomp_recover(phi: SensingMatrix, m: Measurement, cfg: BompConfig) -> SignalModel:
-    """Band-excluded orthogonal matching pursuit on the oversampled grid.
+def bomp_recover(phi: SensingMatrix, m: Measurement, k: int) -> SignalModel:
+    """Band-excluded orthogonal matching pursuit for ``k`` sinusoids.
 
-    Candidate frequencies are the DFT grid oversampled by ``frame_c``,
-    restricted to [0, pi]; each candidate contributes the measured (sin,
-    cos) pair so all arithmetic stays real.  After every selection the
-    residual is recomputed from a joint least-squares fit over all selected
-    pairs, and every candidate within ``band_radius`` of a selected
-    frequency is excluded.  Returns a partial model with a warning if the
-    exclusion bands exhaust the grid.
+    Candidate frequencies are the DFT grid oversampled 5 times, restricted
+    to [0, pi]; each candidate contributes the measured (sin, cos) pair so
+    all arithmetic stays real.  After every selection the residual is
+    recomputed from a joint least-squares fit over all selected pairs, and
+    every candidate within pi/N of a selected frequency is excluded.  Each
+    pick excludes at most 5 of the 5N/2 + 1 candidates, so the grid always
+    outlasts the k <= N/2 picks a model admits.
+
+    Raises
+    ------
+    ValueError
+        On k < 0, 2k > N, or a measurement of the wrong length.
     """
+    n = phi.n_cols
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    if 2 * k > n:
+        raise ValueError(f"need 2k <= n for an identifiable model, got k={k}, n={n}")
     if len(m.values) != phi.m_rows:
         raise ValueError(f"measurement length {len(m.values)} != matrix m={phi.m_rows}")
-    n = phi.n_cols
-    band_radius = cfg.band_radius if cfg.band_radius is not None else math.pi / n
-    cand = _candidate_frequencies(cfg.frame_c, n)
-    if cfg.k == 0:
+    if k == 0:
         return SignalModel(components=(), n_samples=n)
 
+    cand = _candidate_frequencies(_BOMP_OVERSAMPLING, n)
     w = _measured_atoms(phi.entries, cand)
     q0, q1 = _orthonormal_pairs(w)
 
     allowed = np.ones(cand.size, dtype=bool)
     selected: list[int] = []
     r = m.values.copy()
-    coef = np.zeros(0)
-    for _ in range(cfg.k):
-        if not allowed.any():
-            warnings.warn(
-                f"band exclusion exhausted the candidate grid after "
-                f"{len(selected)} of {cfg.k} selections; returning a partial model",
-                stacklevel=2,
-            )
-            break
+    for _ in range(k):
         gain = np.square(q0.T @ r) + np.square(q1.T @ r)  # energy each pair captures
         gain = np.where(allowed, gain, -np.inf)
         pick = int(np.argmax(gain))
         selected.append(pick)
-        allowed &= np.abs(cand - cand[pick]) >= band_radius
+        allowed &= np.abs(cand - cand[pick]) >= math.pi / n
         a_sel = w[:, selected, :].reshape(phi.m_rows, -1)
         coef, _, _, _ = np.linalg.lstsq(a_sel, m.values, rcond=None)
         r = m.values - a_sel @ coef
 
-    comps = _params_from_coef(cand[selected], coef) if selected else ()
-    return SignalModel(components=comps, n_samples=n)
+    return SignalModel(components=_params_from_coef(cand[selected], coef), n_samples=n)

@@ -15,7 +15,6 @@ import sys
 
 import numpy as np
 
-from .baselines import BompConfig
 from .harness import (
     METHOD_BOMP,
     METHOD_MDS,
@@ -99,7 +98,7 @@ def cmd_recover(args) -> int:
         raise ValueError(
             f"measurement has {values.size} entries but the matrix tuple says m={args.m}"
         )
-    meas = Measurement(values=values, matrix_seed=args.matrix_seed)
+    meas = Measurement(values=values)
     cfg = RecoveryConfig(k=args.k, max_sweeps=args.max_sweeps, freq_tol=args.freq_tol)
     result = recover(phi, meas, cfg)
 
@@ -152,7 +151,6 @@ def _build_spec(args) -> ExperimentSpec:
         methods=tuple(args.methods.split(",")),
         min_sep=args.min_sep,
         recovery=recovery,
-        bomp=BompConfig(k=args.k),
     )
 
 
@@ -232,12 +230,7 @@ def _add_matrix_args(parser, require_m: bool) -> None:
     parser.add_argument("--matrix-seed", type=int, default=0, help="matrix RNG seed")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser, _ = _build_parser_with_subs()
-    return parser
-
-
-def _build_parser_with_subs():
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cstones",
         description="Recover frequency-sparse signals from compressed measurements.",
@@ -308,16 +301,17 @@ def _build_parser_with_subs():
     _add_matrix_args(p_bench, require_m=False)
     p_bench.set_defaults(func=cmd_bench)
 
-    return parser, {"synth": p_synth, "recover": p_rec, "sweep": p_sweep, "bench": p_bench}
+    return parser
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser, subparsers = _build_parser_with_subs()
+    parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         if getattr(args, "config", None):
-            args = _apply_config_file(parser, subparsers[args.command], argv, args.config)
+            # config tokens go right after the subcommand, so explicit flags win
+            args = parser.parse_args(argv[:1] + _config_argv(args, args.config) + argv[1:])
         return args.func(args)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -327,20 +321,33 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
 
 
-def _apply_config_file(parser, subparser, argv, path):
-    """Overlay a flat JSON config as subcommand defaults; explicit flags win."""
+def _config_argv(args, path) -> list[str]:
+    """Flag tokens for a flat JSON config keyed by the subcommand's options.
+
+    The values then pass through the same argparse conversion and checks
+    as flags typed on the command line.  Switches take JSON booleans;
+    every other option takes a string or a number.
+    """
     with open(path) as handle:
-        overrides = json.load(handle)
-    if not isinstance(overrides, dict):
+        config = json.load(handle)
+    if not isinstance(config, dict):
         raise ValueError(f"{path}: config must be a flat JSON object")
-    known = {
-        action.dest for action in subparser._actions if action.dest != "help"
-    }
-    unknown = set(overrides) - known
+    unknown = config.keys() - (vars(args).keys() - {"command", "func", "config"})
     if unknown:
         raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
-    subparser.set_defaults(**overrides)
-    return parser.parse_args(argv)
+    tokens = []
+    for key, value in config.items():
+        flag = "--" + key.replace("_", "-")
+        if isinstance(getattr(args, key), bool):  # a store_true switch
+            if not isinstance(value, bool):
+                raise ValueError(f"{path}: {key} must be true or false, got {value!r}")
+            if value:
+                tokens.append(flag)
+        elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
+            tokens.append(f"{flag}={value}")
+        else:
+            raise ValueError(f"{path}: {key} must be a string or a number, got {value!r}")
+    return tokens
 
 
 if __name__ == "__main__":

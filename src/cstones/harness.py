@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .baselines import BompConfig, bomp_recover, oracle_ls
+from .baselines import bomp_recover, oracle_ls
 from .model import NoiseSpec, add_noise, draw_model, synthesize
 from .recovery import RecoveryConfig, recover
 from .sensing import GAUSSIAN, SUBSAMPLING, matrix_from_kind, measure
@@ -82,7 +82,6 @@ class ExperimentSpec:
     methods: tuple[str, ...] = (METHOD_MDS,)
     min_sep: float | None = None
     recovery: RecoveryConfig | None = None
-    bomp: BompConfig | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "sweep_values", tuple(float(v) for v in self.sweep_values))
@@ -102,8 +101,6 @@ class ExperimentSpec:
             raise ValueError(f"unknown matrix kind {self.matrix_kind!r}")
         if self.recovery is not None and self.recovery.k != self.k:
             raise ValueError("recovery config sparsity must match spec.k")
-        if self.bomp is not None and self.bomp.k != self.k:
-            raise ValueError("bomp config sparsity must match spec.k")
 
     @property
     def resolved_min_sep(self) -> float:
@@ -112,12 +109,8 @@ class ExperimentSpec:
     def resolved_recovery(self) -> RecoveryConfig:
         return self.recovery if self.recovery is not None else RecoveryConfig(k=self.k)
 
-    def resolved_bomp(self) -> BompConfig:
-        return self.bomp if self.bomp is not None else BompConfig(k=self.k)
-
     def to_dict(self) -> dict:
         rec = self.resolved_recovery()
-        bomp = self.resolved_bomp()
         return {
             "sweep_axis": self.sweep_axis,
             "sweep_values": list(self.sweep_values),
@@ -132,7 +125,6 @@ class ExperimentSpec:
             "methods": list(self.methods),
             "min_sep": self.resolved_min_sep,
             "recovery": {"max_sweeps": rec.max_sweeps, "freq_tol": rec.freq_tol},
-            "bomp": {"band_radius": bomp.band_radius, "frame_c": bomp.frame_c},
         }
 
 
@@ -164,22 +156,12 @@ class ExperimentResult:
     summary: dict
     metadata: dict = field(default_factory=dict)
 
-    def csv_lines(self, include_time: bool = True) -> list[str]:
-        header = CSV_HEADER if include_time else CSV_HEADER.rsplit(",", 1)[0]
-        lines = [header]
-        for row in self.rows:
-            cells = [
-                repr(row.sweep_value),
-                row.method,
-                str(row.trial),
-                str(row.seed),
-                repr(row.nl2_error),
-                repr(row.freq_err_total),
-            ]
-            if include_time:
-                cells.append(repr(row.time_s))
-            lines.append(",".join(cells))
-        return lines
+    def csv_lines(self) -> list[str]:
+        return [CSV_HEADER] + [
+            f"{row.sweep_value!r},{row.method},{row.trial},{row.seed},"
+            f"{row.nl2_error!r},{row.freq_err_total!r},{row.time_s!r}"
+            for row in self.rows
+        ]
 
 
 def normalized_l2_error(x: np.ndarray, xhat: np.ndarray) -> float:
@@ -273,7 +255,7 @@ def _apply_method(method, spec, phi, meas, model):
         fitted = oracle_ls(phi, meas, model.frequencies)
         return synthesize(fitted), fitted.frequencies
     if method == METHOD_BOMP:
-        fitted = bomp_recover(phi, meas, spec.resolved_bomp())
+        fitted = bomp_recover(phi, meas, spec.k)
         return synthesize(fitted), fitted.frequencies
     raise ValueError(f"unknown method {method!r}")
 

@@ -42,6 +42,9 @@ SINU_PRESET = "sinu"  # random amplitudes and phases
 # stays comparable with the unit-amplitude preset.
 SINU_AMP_RANGE = (0.5, 1.5)
 
+# Rejection-sampling budget of draw_model.
+_MAX_DRAWS = 1_000_000
+
 
 def canonical_phase(phase: float) -> float:
     """Map an angle in radians to the interval (-pi, pi]."""
@@ -159,9 +162,8 @@ class SignalModel:
 class NoiseSpec:
     """Additive white Gaussian noise at a target SNR, or no noise at all.
 
-    ``snr_db`` is the per-sample signal-to-noise ratio in dB; ``None`` (or
-    the string ``"noiseless"``) disables noise entirely.  The seed makes the
-    noise vector reproducible.
+    ``snr_db`` is the per-sample signal-to-noise ratio in dB; ``None``
+    disables noise entirely.  The seed makes the noise vector reproducible.
     """
 
     snr_db: float | None
@@ -169,10 +171,6 @@ class NoiseSpec:
 
     def __post_init__(self):
         snr = self.snr_db
-        if isinstance(snr, str):
-            if snr.lower() != "noiseless":
-                raise ValueError(f"snr_db must be a number or 'noiseless', got {snr!r}")
-            snr = None
         if snr is not None:
             snr = float(snr)
             if not math.isfinite(snr):
@@ -239,7 +237,6 @@ def draw_model(
     min_sep: float,
     preset: str = FREQ_PRESET,
     seed: int = 0,
-    max_draws: int = 1_000_000,
 ) -> SignalModel:
     """Draw a random K-component model with well-separated frequencies.
 
@@ -253,7 +250,7 @@ def draw_model(
     ValueError
         If k * min_sep >= pi (infeasible) or the preset is unknown.
     RuntimeError
-        If no admissible draw is found within ``max_draws`` attempts.
+        If no admissible draw is found within ``_MAX_DRAWS`` attempts.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -270,7 +267,7 @@ def draw_model(
     rng = np.random.default_rng(seed)
     lo, hi = min_sep, math.pi - min_sep
     omegas = None
-    for _ in range(max_draws):
+    for _ in range(_MAX_DRAWS):
         cand = np.sort(rng.uniform(lo, hi, size=k))
         if k == 1 or (np.min(np.diff(cand)) >= min_sep and np.all(np.diff(cand) > 0)):
             omegas = cand
@@ -278,7 +275,7 @@ def draw_model(
     if omegas is None:
         raise RuntimeError(
             f"no frequency set with pairwise separation >= {min_sep:.6g} found in "
-            f"{max_draws} draws (k={k}, range=({lo:.6g}, {hi:.6g}))"
+            f"{_MAX_DRAWS} draws (k={k}, range=({lo:.6g}, {hi:.6g}))"
         )
 
     if preset == FREQ_PRESET:

@@ -72,10 +72,9 @@ class SensingMatrix:
 
 @dataclass(frozen=True)
 class Measurement:
-    """A compressed measurement vector plus the seed of its matrix."""
+    """A compressed measurement vector."""
 
     values: np.ndarray
-    matrix_seed: int
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -140,7 +139,7 @@ def measure(phi: SensingMatrix, x: np.ndarray) -> Measurement:
         raise ValueError(
             f"signal length {x.shape} does not match matrix with n={phi.n_cols}"
         )
-    return Measurement(values=phi.entries @ x, matrix_seed=phi.seed)
+    return Measurement(values=phi.entries @ x)
 
 
 def _check_shape(m: int, n: int) -> None:

@@ -113,7 +113,7 @@ def paired_baseline_trials():
         rec = cs.recover(phi, meas, cs.RecoveryConfig(k=K))
         recoveries.append(rec)
         errs["mds"].append(cs.normalized_l2_error(x, rec.signal))
-        fitted = cs.bomp_recover(phi, meas, cs.BompConfig(k=K))
+        fitted = cs.bomp_recover(phi, meas, K)
         errs["bomp"].append(cs.normalized_l2_error(x, cs.synthesize(fitted)))
     return {"errs": errs, "recoveries": recoveries}
 

@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 
 from cstones import baselines
-from cstones.baselines import (
-    BompConfig,
-    bomp_recover,
-    grid_oracle,
-    grid_oracle_batch,
-    oracle_ls,
-)
+from cstones.baselines import bomp_recover, grid_oracle_batch, oracle_ls
 from cstones.estimator import amplitude_ls, build_atoms, estimate_sinusoid
 from cstones.model import SignalModel, SinusoidParams, draw_model, sinusoid_samples, synthesize
 from cstones.recovery import RecoveryConfig, recover
@@ -57,42 +51,43 @@ class TestGridOracle:
         omegas = np.linspace(0.0, math.pi, grid_size)
         target = float(omegas[400])
         sin_w, _ = sinusoid_samples(target, 64)
-        omega, s = grid_oracle(phi, sin_w, grid_size)
-        assert omega == target
-        assert s < 1e-18
+        omega, s = grid_oracle_batch(phi, sin_w[:, None], grid_size)
+        assert omega[0] == target
+        assert s[0] < 1e-18
 
     def test_exhaustive_full_scan(self):
         # invariant: no grid index attains a smaller error than the returned one
         phi = gaussian_matrix(16, 32, seed=1)
         r = np.random.default_rng(2).normal(size=16)
         grid_size = 257
-        omega, s = grid_oracle(phi, r, grid_size)
+        _, s = grid_oracle_batch(phi, r[:, None], grid_size)
         scan = []
         for w in np.linspace(0.0, math.pi, grid_size):
             _, _, s_w = amplitude_ls(build_atoms(phi, float(w)), r)
             scan.append(s_w)
-        assert s <= min(scan) + 1e-12 * float(r @ r)
+        assert s[0] <= min(scan) + 1e-12 * float(r @ r)
 
     def test_million_point_resolution(self):
         phi = gaussian_matrix(64, 128, seed=3)
         model = SignalModel((SinusoidParams(1.23456789, 1.0, 0.2),), 128)
         r = measure(phi, synthesize(model)).values
-        omega, _ = grid_oracle(phi, r, 1_000_000)
-        assert abs(omega - 1.23456789) <= math.pi / 1_000_000
+        omega, _ = grid_oracle_batch(phi, r[:, None], 1_000_000)
+        assert abs(omega[0] - 1.23456789) <= math.pi / 1_000_000
 
     def test_zero_residual_rejected(self):
         with pytest.raises(ValueError):
-            grid_oracle(gaussian_matrix(4, 8, seed=0), np.zeros(4), 100)
+            grid_oracle_batch(gaussian_matrix(4, 8, seed=0), np.zeros((4, 1)), 100)
 
     def test_batch_matches_single(self):
+        # each column of a batch scans exactly as it would on its own
         phi = gaussian_matrix(24, 48, seed=4)
         rng = np.random.default_rng(5)
         residuals = rng.normal(size=(24, 3))
         omegas, s_vals = grid_oracle_batch(phi, residuals, 2001)
         for col in range(3):
-            w, s = grid_oracle(phi, residuals[:, col], 2001)
-            assert omegas[col] == w
-            assert s_vals[col] == s
+            w, s = grid_oracle_batch(phi, residuals[:, [col]], 2001)
+            assert omegas[col] == w[0]
+            assert s_vals[col] == s[0]
 
     def test_batch_matches_direct_trig_brute_force(self):
         phi = gaussian_matrix(12, 20, seed=6)
@@ -133,8 +128,8 @@ class TestGridOracle:
             model = draw_model(1, 64, 0.1, "sinu", seed=seed + 10)
             r = measure(phi, synthesize(model)).values
             out = estimate_sinusoid(phi, r)
-            _, s_grid = grid_oracle(phi, r, 10 * 64)
-            assert out.residual_sq <= s_grid + 1e-12
+            _, s_grid = grid_oracle_batch(phi, r[:, None], 10 * 64)
+            assert out.residual_sq <= s_grid[0] + 1e-12
 
 
 class TestOracleLs:
@@ -210,7 +205,7 @@ class TestBompRecover:
         x = synthesize(truth)
         phi = gaussian_matrix(64, n, seed=12)
         m = measure(phi, x)
-        fitted = bomp_recover(phi, m, BompConfig(k=3))
+        fitted = bomp_recover(phi, m, 3)
         err = np.linalg.norm(x - synthesize(fitted)) / np.linalg.norm(x)
         assert err < 1e-6
 
@@ -218,8 +213,7 @@ class TestBompRecover:
         truth = draw_model(3, 128, math.pi / 128, "freq", seed=13)
         phi = gaussian_matrix(64, 128, seed=14)
         m = measure(phi, synthesize(truth))
-        cfg = BompConfig(k=3)
-        fitted = bomp_recover(phi, m, cfg)
+        fitted = bomp_recover(phi, m, 3)
         freqs = np.sort(fitted.frequencies)
         assert np.all(np.diff(freqs) >= math.pi / 128 - 1e-12)
 
@@ -230,7 +224,7 @@ class TestBompRecover:
             x = synthesize(truth)
             phi = gaussian_matrix(64, 128, seed=600 + trial)
             m = measure(phi, x)
-            fitted = bomp_recover(phi, m, BompConfig(k=3))
+            fitted = bomp_recover(phi, m, 3)
             bomp_errs.append(np.linalg.norm(x - synthesize(fitted)) / np.linalg.norm(x))
             rec = recover(phi, m, RecoveryConfig(k=3))
             mds_errs.append(np.linalg.norm(x - rec.signal) / np.linalg.norm(x))
@@ -241,21 +235,24 @@ class TestBompRecover:
     def test_zero_sparsity_empty_model(self):
         phi = gaussian_matrix(16, 32, seed=15)
         m = measure(phi, np.ones(32))
-        fitted = bomp_recover(phi, m, BompConfig(k=0))
+        fitted = bomp_recover(phi, m, 0)
         assert fitted.k == 0
         np.testing.assert_array_equal(synthesize(fitted), np.zeros(32))
 
-    def test_partial_model_when_bands_exhaust_grid(self):
-        truth = draw_model(2, 32, math.pi / 32, "freq", seed=16)
-        phi = gaussian_matrix(16, 32, seed=17)
-        m = measure(phi, synthesize(truth))
-        cfg = BompConfig(k=4, band_radius=2.0)  # two bands cover [0, pi]
-        with pytest.warns(UserWarning, match="partial"):
-            fitted = bomp_recover(phi, m, cfg)
-        assert fitted.k < 4
-
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            BompConfig(k=-1)
-        with pytest.raises(ValueError):
-            BompConfig(k=1, band_radius=0.0)
+        phi = gaussian_matrix(16, 32, seed=16)
+        m = measure(phi, np.ones(32))
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            bomp_recover(phi, m, -1)
+        with pytest.raises(ValueError, match="length"):
+            bomp_recover(phi, measure(gaussian_matrix(8, 32, seed=16), np.ones(32)), 1)
+
+    @pytest.mark.parametrize("n", [8, 9, 32])
+    def test_more_than_half_n_components_rejected_up_front(self, n):
+        # the exclusion bands never exhaust the grid within N/2 picks, and a
+        # model admits no more, so 2k > N is refused before any search
+        phi = gaussian_matrix(n // 2, n, seed=17)
+        m = measure(phi, np.random.default_rng(18).normal(size=n))
+        assert bomp_recover(phi, m, n // 2).k == n // 2
+        with pytest.raises(ValueError, match="2k <= n"):
+            bomp_recover(phi, m, n // 2 + 1)

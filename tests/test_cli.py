@@ -211,6 +211,22 @@ class TestSweep:
         code = run_cli("sweep", "--config", str(cfg), "--out-prefix", str(tmp_path / "x"))
         assert code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize(
+        "entry",
+        [{"trials": 2.5}, {"values": [16, 32]}, {"k": 2.5}, {"svg": "false"}],
+        ids=["float_trials", "list_values", "float_k", "string_switch"],
+    )
+    def test_config_file_wrong_type_exits_2(self, tmp_path, capsys, entry):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"axis": "m", "values": "16", "n": 32, "k": 2, **entry}))
+        try:
+            code = run_cli("sweep", "--config", str(cfg), "--out-prefix", str(tmp_path / "x"))
+        except SystemExit as exc:  # argparse rejected the converted value
+            code = exc.code
+        assert code == EXIT_VALIDATION
+        assert "error:" in capsys.readouterr().err
+        assert not list(tmp_path.glob("x.*"))
+
     def test_rerun_byte_identical_excluding_time(self, tmp_path):
         args = (
             "sweep", "--axis", "m", "--values", "16,24", "--trials", "2",

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cstones import model as model_module
 from cstones.model import (
     FREQ_PRESET,
     SINU_PRESET,
@@ -87,11 +88,6 @@ class TestAddNoise:
     def test_noiseless_is_exact(self):
         x = add_noise(self.s, NoiseSpec(snr_db=None))
         np.testing.assert_array_equal(x, self.s)
-
-    def test_noiseless_string_spelling(self):
-        spec = NoiseSpec(snr_db="noiseless")
-        assert spec.noiseless
-        np.testing.assert_array_equal(add_noise(self.s, spec), self.s)
 
     def test_deterministic_per_seed(self):
         spec = NoiseSpec(snr_db=20.0, seed=99)
@@ -208,7 +204,8 @@ class TestDrawModel:
         with pytest.raises(ValueError):
             draw_model(4, 128, math.pi / 4, preset=FREQ_PRESET, seed=0)
 
-    def test_rejection_budget_diagnostic(self):
+    def test_rejection_budget_diagnostic(self, monkeypatch):
         # k*min_sep < pi holds but (k+1)*min_sep > pi, so no draw can succeed
-        with pytest.raises(RuntimeError, match="draws"):
-            draw_model(3, 128, math.pi / 3.05, preset=FREQ_PRESET, seed=0, max_draws=200)
+        monkeypatch.setattr(model_module, "_MAX_DRAWS", 200)
+        with pytest.raises(RuntimeError, match="200 draws"):
+            draw_model(3, 128, math.pi / 3.05, preset=FREQ_PRESET, seed=0)

@@ -52,6 +52,9 @@ def test_two_committed_summaries_found():
 def test_committed_summary_echoes_current_spec(path):
     # demo 05's committed outputs go stale silently when the spec changes;
     # rerunning the demo rewrites them
-    written = ExperimentSpec(sweep_axis="m", sweep_values=(16.0,)).to_dict()["recovery"]
-    committed = json.loads(path.read_text())["spec"]["recovery"]
+    written = ExperimentSpec(sweep_axis="m", sweep_values=(16.0,)).to_dict()
+    committed = json.loads(path.read_text())["spec"]
     assert set(committed) == set(written)
+    for key, value in written.items():
+        if isinstance(value, dict):
+            assert set(committed[key]) == set(value), key

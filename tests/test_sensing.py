@@ -127,7 +127,7 @@ class TestImmutability:
             phi.entries[0, 0] = 1.0
 
     def test_measurement_values_read_only(self):
-        meas = Measurement(values=np.ones(3), matrix_seed=0)
+        meas = Measurement(values=np.ones(3))
         with pytest.raises(ValueError):
             meas.values[0] = 2.0
 
@@ -147,7 +147,7 @@ class TestNonFiniteRejected:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_measurement(self, bad):
         with pytest.raises(ValueError, match="finite"):
-            Measurement(values=np.array([1.0, bad, 0.5]), matrix_seed=0)
+            Measurement(values=np.array([1.0, bad, 0.5]))
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
     def test_sensing_matrix(self, bad):
