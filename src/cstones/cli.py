@@ -136,7 +136,6 @@ def _build_spec(args) -> ExperimentSpec:
         values = [float(v) for v in args.values.split(",")]
         trials = args.trials
         axis = args.axis
-    recovery = RecoveryConfig(k=args.k, max_sweeps=args.max_sweeps, freq_tol=args.freq_tol)
     return ExperimentSpec(
         sweep_axis=axis,
         sweep_values=tuple(sorted(values)),
@@ -150,7 +149,8 @@ def _build_spec(args) -> ExperimentSpec:
         base_seed=args.seed,
         methods=tuple(args.methods.split(",")),
         min_sep=args.min_sep,
-        recovery=recovery,
+        max_sweeps=args.max_sweeps,
+        freq_tol=args.freq_tol,
     )
 
 

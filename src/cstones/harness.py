@@ -66,7 +66,9 @@ class ExperimentSpec:
 
     ``sweep_axis`` is "m" (vary measurement count, fixed SNR) or "snr"
     (vary SNR in dB, fixed measurement count).  ``fixed_snr_db`` of None
-    means noiseless.  Sweep values must be sorted ascending.
+    means noiseless.  Sweep values must be sorted ascending.  ``max_sweeps``
+    and ``freq_tol`` are passed to :class:`RecoveryConfig` for the "mds"
+    method.
     """
 
     sweep_axis: str
@@ -81,7 +83,8 @@ class ExperimentSpec:
     base_seed: int = 0
     methods: tuple[str, ...] = (METHOD_MDS,)
     min_sep: float | None = None
-    recovery: RecoveryConfig | None = None
+    max_sweeps: int = 60
+    freq_tol: float = 1e-8
 
     def __post_init__(self):
         object.__setattr__(self, "sweep_values", tuple(float(v) for v in self.sweep_values))
@@ -99,18 +102,14 @@ class ExperimentSpec:
                 raise ValueError(f"unknown method {meth!r}; known: {_KNOWN_METHODS}")
         if self.matrix_kind not in (GAUSSIAN, SUBSAMPLING):
             raise ValueError(f"unknown matrix kind {self.matrix_kind!r}")
-        if self.recovery is not None and self.recovery.k != self.k:
-            raise ValueError("recovery config sparsity must match spec.k")
+        # raises on an invalid k, max_sweeps or freq_tol
+        RecoveryConfig(self.k, self.max_sweeps, self.freq_tol)
 
     @property
     def resolved_min_sep(self) -> float:
         return self.min_sep if self.min_sep is not None else math.pi / self.n
 
-    def resolved_recovery(self) -> RecoveryConfig:
-        return self.recovery if self.recovery is not None else RecoveryConfig(k=self.k)
-
     def to_dict(self) -> dict:
-        rec = self.resolved_recovery()
         return {
             "sweep_axis": self.sweep_axis,
             "sweep_values": list(self.sweep_values),
@@ -124,7 +123,7 @@ class ExperimentSpec:
             "base_seed": self.base_seed,
             "methods": list(self.methods),
             "min_sep": self.resolved_min_sep,
-            "recovery": {"max_sweeps": rec.max_sweeps, "freq_tol": rec.freq_tol},
+            "recovery": {"max_sweeps": self.max_sweeps, "freq_tol": self.freq_tol},
         }
 
 
@@ -249,7 +248,7 @@ def _run_cell(spec: ExperimentSpec, sweep_value: float, trial: int) -> list[Tria
 
 def _apply_method(method, spec, phi, meas, model):
     if method == METHOD_MDS:
-        result = recover(phi, meas, spec.resolved_recovery())
+        result = recover(phi, meas, RecoveryConfig(spec.k, spec.max_sweeps, spec.freq_tol))
         return result.signal, result.model.frequencies
     if method == METHOD_ORACLE:
         fitted = oracle_ls(phi, meas, model.frequencies)

@@ -1,16 +1,15 @@
 """Cyclic greedy recovery of K sinusoids from compressed measurements.
 
-The recoverer keeps K per-component sample estimates, initially zero.  Each
-sweep visits the components in index order; for component i it forms the
-residual measurement
+The recoverer keeps K component slots, initially empty.  Each sweep visits
+the slots in index order; for slot i it forms the residual measurement
 
     r = m - sum_{j != i} Phi @ s_j
 
-and replaces component i with the single best-matching sinusoid for r.  A
-replacement is only accepted if it does not increase the total measurement
-residual, which keeps the per-sweep residual norms non-increasing.  Sweeps
-repeat until the residual norm stops changing (relative to ||m||) or a
-sweep cap is reached.
+where s_j are the samples of slot j, and replaces slot i with the single
+best-matching sinusoid for r.  A replacement is only accepted if it does not
+increase the total measurement residual, which keeps the per-sweep residual
+norms non-increasing.  Sweeps repeat until the residual norm stops changing
+(relative to ||m||) or a sweep cap is reached.
 """
 
 from __future__ import annotations
@@ -31,9 +30,6 @@ __all__ = [
     "recover",
 ]
 
-# Tiny tolerance (scaled by the residual) that separates float jitter from a
-# genuine residual increase when recording per-sweep norms.
-_MONOTONE_EPS = 1e-12
 # Sweeps halt once the residual norm changes by less than this times ||m||.
 _RESIDUAL_REL_TOL = 1e-10
 
@@ -46,9 +42,7 @@ class RecoveryConfig:
     sweeps; the default of 60 covers the slow zigzag convergence of tone
     pairs near the pi/N separation floor, while typical instances halt on
     the residual tolerance after ~14 sweeps.  ``freq_tol`` is the bracket
-    width at which each frequency search stops; it is also the distance
-    below which two components count as duplicates, and the lower-energy
-    one is zeroed so the freed slot can capture a missed tone next sweep.
+    width at which each frequency search stops.
     """
 
     k: int
@@ -152,59 +146,29 @@ def recover(
     mv = np.ldexp(m.values, -e)
     m_norm = float(np.linalg.norm(mv))
     params: list[SinusoidParams | None] = [None] * k
-    samples = [np.zeros(n) for _ in range(k)]
     measured = [np.zeros(phi.m_rows) for _ in range(k)]
-    pending_zero: set[int] = set()
     sweep_norms: list[float] = []
-    snapshot = None
 
     for _sweep in range(cfg.max_sweeps):
-        for i in pending_zero:
-            params[i] = None
-            samples[i] = np.zeros(n)
-            measured[i] = np.zeros(phi.m_rows)
-        pending_zero = set()
-
         for i in range(k):
             r = mv - (sum(measured) - measured[i])
             if float(r @ r) == 0.0:
                 params[i] = None
-                samples[i] = np.zeros(n)
                 measured[i] = np.zeros(phi.m_rows)
                 continue
             outcome = estimate_sinusoid(phi, r, cfg.freq_tol)
-            cand_samples = component_samples(outcome.params, n)
-            cand_measured = phi.entries @ cand_samples
+            cand_measured = phi.entries @ component_samples(outcome.params, n)
             old_sq = float(np.sum((r - measured[i]) ** 2))
             new_sq = float(np.sum((r - cand_measured) ** 2))
             # Keep the old component when the estimator's grid happens to
             # miss it; this is what makes sweeps monotone.
             if new_sq <= old_sq:
                 params[i] = outcome.params
-                samples[i] = cand_samples
                 measured[i] = cand_measured
 
-        pending_zero = _duplicate_losers(params, samples, cfg.freq_tol)
-
         resid = float(np.linalg.norm(mv - sum(measured)))
-        if sweep_norms and resid > sweep_norms[-1] + _MONOTONE_EPS * max(1.0, sweep_norms[-1]):
-            # A collapse did not pay off this sweep; restore the previous
-            # state and stop rather than record a residual increase.
-            params, samples, measured = snapshot
-            break
-        snapshot = (
-            list(params),
-            [s.copy() for s in samples],
-            [q.copy() for q in measured],
-        )
         sweep_norms.append(resid)
-        converged = (
-            len(sweep_norms) >= 2
-            and abs(sweep_norms[-2] - resid) < _RESIDUAL_REL_TOL * m_norm
-        )
-        # A pending collapse will change the state next sweep, so only halt
-        # on a flat residual when no collapse is queued.
-        if converged and not pending_zero:
+        if len(sweep_norms) >= 2 and abs(sweep_norms[-2] - resid) < _RESIDUAL_REL_TOL * m_norm:
             break
 
     params = [
@@ -221,22 +185,3 @@ def recover(
         final_residual_norm=math.ldexp(final_norm, e),
         sweep_residual_norms=tuple(math.ldexp(x, e) for x in sweep_norms),
     )
-
-
-def _duplicate_losers(
-    params: list[SinusoidParams | None],
-    samples: list[np.ndarray],
-    freq_tol: float,
-) -> set[int]:
-    """Indices of lower-energy members of frequency-duplicate pairs."""
-    losers: set[int] = set()
-    active = [i for i, p in enumerate(params) if p is not None and p.amplitude > 0.0]
-    for a_pos, i in enumerate(active):
-        for j in active[a_pos + 1 :]:
-            if i in losers or j in losers:
-                continue
-            if abs(params[i].omega - params[j].omega) < freq_tol:
-                ei = float(samples[i] @ samples[i])
-                ej = float(samples[j] @ samples[j])
-                losers.add(i if ei <= ej else j)
-    return losers

@@ -191,6 +191,15 @@ class TestSweep:
         code = run_cli("sweep", "--out-prefix", str(tmp_path / "x"))
         assert code == EXIT_IO
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_freq_tol_is_spec_error(self, tmp_path, capsys, bad):
+        code = run_cli(
+            "sweep", "--values", "16", "--dry-run", "--freq-tol", bad,
+            "--out-prefix", str(tmp_path / "x"),
+        )
+        assert code == EXIT_IO
+        assert "freq_tol" in capsys.readouterr().err
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "sweep.json"
         cfg.write_text(json.dumps({

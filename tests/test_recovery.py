@@ -14,7 +14,7 @@ from cstones.model import (
     draw_model,
     synthesize,
 )
-from cstones.recovery import RecoveryConfig, recover
+from cstones.recovery import RecoveryConfig, _assemble_model, recover
 from cstones.sensing import SUBSAMPLING, Measurement, SensingMatrix, gaussian_matrix, measure
 
 
@@ -56,14 +56,24 @@ class TestRecover:
         assert ok >= 4
 
     def test_sweep_residuals_non_increasing(self):
-        for seed in range(8):
-            truth = draw_model(3, 128, math.pi / 128, "freq", seed=seed)
-            x = synthesize(truth)
-            phi = gaussian_matrix(48, 128, seed=seed + 50)
-            m = measure(phi, x)
-            result = recover(phi, m, RecoveryConfig(k=3))
-            norms = result.sweep_residual_norms
-            assert all(b <= a + 1e-9 for a, b in zip(norms, norms[1:]))
+        # (n, m, true tones, k, snr_db, seeds).  Besides the plain K=3 cases,
+        # an over-specified k and M=16 inputs on which the accept rule
+        # rejects updates, the only thing that keeps the sweeps monotone.
+        cases = [
+            (128, 48, 3, 3, None, range(8)),
+            (64, 32, 1, 4, 20.0, (19,)),
+            (128, 48, 1, 4, 20.0, (32, 64)),
+            (128, 16, 3, 3, None, (11, 35, 55, 71)),
+        ]
+        for n, m_rows, tones, k, snr_db, seeds in cases:
+            for seed in seeds:
+                x = synthesize(draw_model(tones, n, math.pi / n, "freq", seed=seed))
+                if snr_db is not None:
+                    x = add_noise(x, NoiseSpec(snr_db=snr_db, seed=seed + 1))
+                phi = gaussian_matrix(m_rows, n, seed=seed + 50)
+                result = recover(phi, measure(phi, x), RecoveryConfig(k=k))
+                norms = result.sweep_residual_norms
+                assert all(b <= a + 1e-9 for a, b in zip(norms, norms[1:]))
 
     def test_signal_equals_synthesized_model(self):
         truth = draw_model(2, 64, math.pi / 64, "sinu", seed=6)
@@ -119,6 +129,30 @@ class TestRecover:
         for tol in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="freq_tol"):
                 RecoveryConfig(k=1, freq_tol=tol)
+
+
+_P = SinusoidParams
+
+
+@pytest.mark.parametrize(
+    "params, expected",
+    [
+        # empty slots: zero-amplitude placeholders at pi (i + 1) / (k + 1)
+        ([None, None, None], [(math.pi / 4, 0.0), (math.pi / 2, 0.0), (3 * math.pi / 4, 0.0)]),
+        # two slots at the exact same omega: the later one moves up one ulp
+        ([_P(1.0, 2.0, 0.5), _P(1.0, 3.0, 0.5)], [(1.0, 2.0), (math.nextafter(1.0, 4), 3.0)]),
+        # a fitted omega on an earlier empty slot's placeholder is moved too
+        (
+            [None, _P(math.pi / 3, 2.0, 0.5)],
+            [(math.pi / 3, 0.0), (math.nextafter(math.pi / 3, 4), 2.0)],
+        ),
+    ],
+)
+def test_assemble_model_keeps_frequencies_distinct(params, expected):
+    model = _assemble_model(params, 16)
+    assert [(c.omega, c.amplitude) for c in model.components] == expected
+    for p, c in zip(params, model.components):
+        assert c.phase == (0.0 if p is None else p.phase)
 
 
 class TestScaleEquivariance:
