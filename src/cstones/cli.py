@@ -65,8 +65,7 @@ def cmd_synth(args) -> int:
     min_sep = args.min_sep if args.min_sep is not None else math.pi / args.n
     model = draw_model(args.k, args.n, min_sep, preset=args.preset, seed=args.seed)
     s = synthesize(model)
-    snr = None if args.snr is None else args.snr
-    x = add_noise(s, NoiseSpec(snr_db=snr, seed=args.noise_seed))
+    x = add_noise(s, NoiseSpec(snr_db=args.snr, seed=args.noise_seed))
 
     _write_value_csv(args.out_signal, x, "t")
     record = model.to_dict()
@@ -74,7 +73,7 @@ def cmd_synth(args) -> int:
         "preset": args.preset,
         "seed": args.seed,
         "min_sep": min_sep,
-        "snr_db": snr,
+        "snr_db": args.snr,
         "noise_seed": args.noise_seed,
     }
     with open(args.out_model, "w") as handle:
@@ -99,8 +98,7 @@ def cmd_recover(args) -> int:
             f"measurement has {values.size} entries but the matrix tuple says m={args.m}"
         )
     meas = Measurement(values=values)
-    cfg = RecoveryConfig(k=args.k, max_sweeps=args.max_sweeps, freq_tol=args.freq_tol)
-    result = recover(phi, meas, cfg)
+    result = recover(phi, meas, RecoveryConfig(k=args.k))
 
     payload = {
         "model": result.model.to_dict(),
@@ -109,8 +107,6 @@ def cmd_recover(args) -> int:
         "sweep_residual_norms": list(result.sweep_residual_norms),
         "config": {
             "k": args.k,
-            "max_sweeps": args.max_sweeps,
-            "freq_tol": args.freq_tol,
             "matrix": phi.provenance(),
         },
     }
@@ -149,8 +145,6 @@ def _build_spec(args) -> ExperimentSpec:
         base_seed=args.seed,
         methods=tuple(args.methods.split(",")),
         min_sep=args.min_sep,
-        max_sweeps=args.max_sweeps,
-        freq_tol=args.freq_tol,
     )
 
 
@@ -227,7 +221,6 @@ def _add_matrix_args(parser, require_m: bool) -> None:
         default=None if require_m else 64,
         help="measurement count M",
     )
-    parser.add_argument("--matrix-seed", type=int, default=0, help="matrix RNG seed")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -249,18 +242,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--out-model", required=True, help="output JSON of true parameters")
     p_synth.add_argument("--out-measurement", default=None, help="optional compressed CSV output")
     _add_matrix_args(p_synth, require_m=False)
+    p_synth.add_argument("--matrix-seed", type=int, default=0, help="matrix RNG seed")
     p_synth.set_defaults(func=cmd_synth)
 
     p_rec = sub.add_parser("recover", help="recover sinusoids from a measurement file")
     p_rec.add_argument("--measurement", required=True, help="measurement CSV (index,value)")
     p_rec.add_argument("--k", type=_positive_int, required=True)
     p_rec.add_argument("--n", type=_positive_int, default=128)
-    p_rec.add_argument("--max-sweeps", type=_positive_int, default=60)
-    p_rec.add_argument("--freq-tol", type=float, default=1e-8)
     p_rec.add_argument("--truth", default=None, help="optional truth-signal CSV for scoring")
     p_rec.add_argument("--out", required=True, help="output JSON")
     p_rec.add_argument("--out-signal", default=None, help="optional reconstructed-signal CSV")
     _add_matrix_args(p_rec, require_m=True)
+    p_rec.add_argument("--matrix-seed", type=int, default=0, help="matrix RNG seed")
     p_rec.set_defaults(func=cmd_recover)
 
     p_sweep = sub.add_parser("sweep", help="Monte Carlo sweep over M or SNR")
@@ -277,10 +270,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--preset", choices=("freq", "sinu"), default="freq")
     p_sweep.add_argument("--snr", type=float, default=None, help="fixed SNR for m sweeps (default noiseless)")
     p_sweep.add_argument("--min-sep", type=float, default=None)
-    p_sweep.add_argument("--seed", type=int, default=0, help="base seed")
+    p_sweep.add_argument("--seed", type=int, default=0, help="base of every model, noise and matrix seed")
     p_sweep.add_argument("--methods", default="mds", help=f"comma list of {METHOD_MDS},{METHOD_ORACLE},{METHOD_BOMP}")
-    p_sweep.add_argument("--max-sweeps", type=_positive_int, default=60)
-    p_sweep.add_argument("--freq-tol", type=float, default=1e-8)
     p_sweep.add_argument("--threads", type=_positive_int, default=1, help="worker pool size")
     p_sweep.add_argument("--paper-scale", action="store_true", help="M = 15..65 step 5, 600 trials")
     p_sweep.add_argument("--svg", action="store_true", help="also write a line chart")

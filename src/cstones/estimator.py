@@ -11,13 +11,13 @@ solve a 2x2 normal system in closed form (``amplitude_ls``), leaving the
 attained error s(omega) a function of frequency alone.  One grid round over
 the N + 1 full-band nodes, scored through the measured-atom kernel and pair
 bases that the baselines share, picks the best node; a bracketed Newton
-iteration on s' then polishes it to ``freq_tol``, the search's one setting.
+iteration on s' then polishes it to a fixed bracket width, ``_FREQ_TOL``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,8 +31,10 @@ __all__ = [
     "estimate_sinusoid",
 ]
 
+# Bracket width at which the frequency search stops.
+_FREQ_TOL = 1e-8
 # Cap on Newton steps.  Even pure bisection narrows the round-1 bracket
-# (at most 2 pi / N wide) below the default freq_tol within 30 steps.
+# (at most 2 pi / N wide) below _FREQ_TOL within 30 steps.
 _MAX_NEWTON_STEPS = 60
 # Atom pairs whose Gram determinant is at most this times trace^2 are solved
 # rank-1 (omega at 0 or pi, where the sine column vanishes).
@@ -52,8 +54,8 @@ class EstimateOutcome:
     params: SinusoidParams
     residual_sq: float
     refinements_used: int
-    bracket_history: tuple[tuple[float, float], ...] = field(default=())
-    best_s_history: tuple[float, ...] = field(default=())
+    bracket_history: tuple[tuple[float, float], ...]
+    best_s_history: tuple[float, ...]
 
 
 def build_atoms(phi: SensingMatrix, omega: float) -> np.ndarray:
@@ -257,26 +259,21 @@ def _s_derivatives(phi_entries: np.ndarray, r: np.ndarray, omega: float):
     return float(e @ e), -2.0 * float(e @ v), 2.0 * float(v @ v - e @ (d2a @ x) - c @ g_inv @ c)
 
 
-def estimate_sinusoid(
-    phi: SensingMatrix, r: np.ndarray, freq_tol: float = 1e-8
-) -> EstimateOutcome:
+def estimate_sinusoid(phi: SensingMatrix, r: np.ndarray) -> EstimateOutcome:
     """Estimate the sinusoid that best explains the residual measurement ``r``.
 
-    ``r`` has length M and must be nonzero; ``freq_tol``, positive and
-    finite, is the bracket width at which the search stops.  One grid round
-    takes the best full-band node j (lowest index on ties); Newton steps on
-    s' then polish it inside [omega_(j-1), omega_(j+1)], starting
-    mid-bracket when j is a band end, whose pair is degenerate.  Each
-    evaluated point replaces the bracket end whose s' sign it shares; a
-    step that leaves the bracket or meets s'' <= 0 bisects, and one shorter
-    than freq_tol / 2 is lengthened to it, so that the bracket closes from
-    both sides.  The polished frequency is the latest Newton point in the
-    bracket (else its end of lower s), kept only if its error is no larger
-    than node j's.  The returned residual_sq is exactly ``amplitude_ls``
-    re-evaluated at the returned frequency.
+    ``r`` has length M and must be nonzero.  One grid round takes the best
+    full-band node j (lowest index on ties); Newton steps on s' then polish
+    it inside [omega_(j-1), omega_(j+1)] until the bracket is narrower than
+    _FREQ_TOL, starting mid-bracket when j is a band end, whose pair is
+    degenerate.  Each evaluated point replaces the bracket end whose s'
+    sign it shares; a step that leaves the bracket or meets s'' <= 0
+    bisects, and one shorter than _FREQ_TOL / 2 is lengthened to it, so
+    that the bracket closes from both sides.  The polished frequency is the
+    latest Newton point in the bracket (else its end of lower s), kept only
+    if its error is no larger than node j's.  The returned residual_sq is
+    exactly ``amplitude_ls`` re-evaluated at the returned frequency.
     """
-    if not (0.0 < freq_tol < math.inf):
-        raise ValueError(f"freq_tol must be positive and finite, got {freq_tol}")
     r = np.asarray(r, dtype=float)
     if r.ndim != 1 or r.size != phi.m_rows:
         raise ValueError(f"residual length {r.shape} does not match matrix m={phi.m_rows}")
@@ -294,7 +291,7 @@ def estimate_sinusoid(
     brackets = [(0.0, math.pi), (a, b)]
     s_history = [float(s[j])]
     x = omega = float(omegas[j]) if 0 < j < n else 0.5 * (a + b)
-    while b - a >= freq_tol and len(s_history) <= _MAX_NEWTON_STEPS:
+    while b - a >= _FREQ_TOL and len(s_history) <= _MAX_NEWTON_STEPS:
         s_x, d1, d2 = _s_derivatives(phi.entries, r, x)
         s_history.append(min(s_history[-1], s_x))
         if d1 > 0.0:
@@ -305,7 +302,7 @@ def estimate_sinusoid(
         if a <= newton <= b:
             omega = newton
             step = newton - x
-            x += step if abs(step) >= freq_tol / 2 else math.copysign(freq_tol / 2, step)
+            x += step if abs(step) >= _FREQ_TOL / 2 else math.copysign(_FREQ_TOL / 2, step)
         elif not a <= omega <= b:
             omega = a if s_a <= s_b else b
         if not a < x < b:

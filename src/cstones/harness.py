@@ -19,7 +19,7 @@ import os
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -66,9 +66,8 @@ class ExperimentSpec:
 
     ``sweep_axis`` is "m" (vary measurement count, fixed SNR) or "snr"
     (vary SNR in dB, fixed measurement count).  ``fixed_snr_db`` of None
-    means noiseless.  Sweep values must be sorted ascending.  ``max_sweeps``
-    and ``freq_tol`` are passed to :class:`RecoveryConfig` for the "mds"
-    method.
+    means noiseless.  Sweep values must be sorted ascending.  The "mds"
+    method recovers ``k`` components with ``RecoveryConfig(k)``.
     """
 
     sweep_axis: str
@@ -83,8 +82,6 @@ class ExperimentSpec:
     base_seed: int = 0
     methods: tuple[str, ...] = (METHOD_MDS,)
     min_sep: float | None = None
-    max_sweeps: int = 60
-    freq_tol: float = 1e-8
 
     def __post_init__(self):
         object.__setattr__(self, "sweep_values", tuple(float(v) for v in self.sweep_values))
@@ -102,8 +99,7 @@ class ExperimentSpec:
                 raise ValueError(f"unknown method {meth!r}; known: {_KNOWN_METHODS}")
         if self.matrix_kind not in (GAUSSIAN, SUBSAMPLING):
             raise ValueError(f"unknown matrix kind {self.matrix_kind!r}")
-        # raises on an invalid k, max_sweeps or freq_tol
-        RecoveryConfig(self.k, self.max_sweeps, self.freq_tol)
+        RecoveryConfig(self.k)  # raises on an invalid k
 
     @property
     def resolved_min_sep(self) -> float:
@@ -123,7 +119,6 @@ class ExperimentSpec:
             "base_seed": self.base_seed,
             "methods": list(self.methods),
             "min_sep": self.resolved_min_sep,
-            "recovery": {"max_sweeps": self.max_sweeps, "freq_tol": self.freq_tol},
         }
 
 
@@ -153,7 +148,7 @@ class ExperimentResult:
     spec: ExperimentSpec
     rows: tuple[TrialResult, ...]
     summary: dict
-    metadata: dict = field(default_factory=dict)
+    metadata: dict
 
     def csv_lines(self) -> list[str]:
         return [CSV_HEADER] + [
@@ -248,7 +243,7 @@ def _run_cell(spec: ExperimentSpec, sweep_value: float, trial: int) -> list[Tria
 
 def _apply_method(method, spec, phi, meas, model):
     if method == METHOD_MDS:
-        result = recover(phi, meas, RecoveryConfig(spec.k, spec.max_sweeps, spec.freq_tol))
+        result = recover(phi, meas, RecoveryConfig(spec.k))
         return result.signal, result.model.frequencies
     if method == METHOD_ORACLE:
         fitted = oracle_ls(phi, meas, model.frequencies)

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -36,26 +37,20 @@ _RESIDUAL_REL_TOL = 1e-10
 
 @dataclass(frozen=True)
 class RecoveryConfig:
-    """Settings of the cyclic recovery loop.
+    """The recovery loop's one setting, ``k``: the number of sinusoids to fit.
 
-    ``k`` is the number of sinusoids to fit.  ``max_sweeps`` caps the
-    sweeps; the default of 60 covers the slow zigzag convergence of tone
-    pairs near the pi/N separation floor, while typical instances halt on
-    the residual tolerance after ~14 sweeps.  ``freq_tol`` is the bracket
-    width at which each frequency search stops.
+    ``max_sweeps`` is a class constant, not a field: the cap of 60 covers
+    the slow zigzag convergence of tone pairs near the pi/N separation
+    floor, while typical instances halt on the residual tolerance after
+    ~14 sweeps.
     """
 
     k: int
-    max_sweeps: int = 60
-    freq_tol: float = 1e-8
+    max_sweeps: ClassVar[int] = 60
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.max_sweeps < 1:
-            raise ValueError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
-        if not (0.0 < self.freq_tol < math.inf):
-            raise ValueError(f"freq_tol must be positive and finite, got {self.freq_tol}")
 
 
 @dataclass(frozen=True)
@@ -71,7 +66,7 @@ class RecoveryResult:
     signal: np.ndarray
     sweeps_used: int
     final_residual_norm: float
-    sweep_residual_norms: tuple[float, ...] = field(default=())
+    sweep_residual_norms: tuple[float, ...]
 
 
 def _placeholder_frequencies(k: int) -> list[float]:
@@ -156,7 +151,7 @@ def recover(
                 params[i] = None
                 measured[i] = np.zeros(phi.m_rows)
                 continue
-            outcome = estimate_sinusoid(phi, r, cfg.freq_tol)
+            outcome = estimate_sinusoid(phi, r)
             cand_measured = phi.entries @ component_samples(outcome.params, n)
             old_sq = float(np.sum((r - measured[i]) ** 2))
             new_sq = float(np.sum((r - cand_measured) ** 2))

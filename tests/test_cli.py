@@ -132,17 +132,6 @@ class TestRecover:
         assert code == EXIT_VALIDATION
         assert "finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("bad", ["nan", "inf"])
-    def test_non_finite_freq_tol_exits_2(self, tmp_path, capsys, bad):
-        _, _, meas = self.make_fixture(tmp_path)
-        code = run_cli(
-            "recover", "--measurement", str(meas), "--k", "3", "--n", "128",
-            "--m", "64", "--matrix-seed", "3", "--freq-tol", bad,
-            "--out", str(tmp_path / "rec.json"),
-        )
-        assert code == EXIT_VALIDATION
-        assert "freq_tol" in capsys.readouterr().err
-
     def test_underdetermined_warns_but_succeeds(self, tmp_path, capsys, recwarn):
         _, _, meas = self.make_fixture(tmp_path, m=8, k=3)
         code = run_cli(
@@ -190,15 +179,6 @@ class TestSweep:
     def test_missing_values_is_spec_error(self, tmp_path):
         code = run_cli("sweep", "--out-prefix", str(tmp_path / "x"))
         assert code == EXIT_IO
-
-    @pytest.mark.parametrize("bad", ["nan", "inf"])
-    def test_non_finite_freq_tol_is_spec_error(self, tmp_path, capsys, bad):
-        code = run_cli(
-            "sweep", "--values", "16", "--dry-run", "--freq-tol", bad,
-            "--out-prefix", str(tmp_path / "x"),
-        )
-        assert code == EXIT_IO
-        assert "freq_tol" in capsys.readouterr().err
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "sweep.json"
@@ -261,3 +241,43 @@ class TestBench:
         assert set(table) == {"mds", "oracle"}
         assert all(row["mean_time_s"] >= 0.0 for row in table.values())
         assert all(row["median_time_s"] >= 0.0 for row in table.values())
+
+
+@pytest.mark.parametrize(
+    "extra, config",
+    [
+        (("recover", "--freq-tol", "1e-8"), None),
+        (("recover", "--max-sweeps", "60"), None),
+        (("sweep", "--freq-tol", "1e-8"), None),
+        (("sweep", "--max-sweeps", "60"), None),
+        (("sweep", "--matrix-seed", "3"), None),
+        (("bench", "--matrix-seed", "3"), None),
+        (("sweep",), {"freq_tol": 1e-8}),
+        (("sweep",), {"matrix_seed": 3}),
+    ],
+    ids=[
+        "recover-freq-tol", "recover-max-sweeps", "sweep-freq-tol", "sweep-max-sweeps",
+        "sweep-matrix-seed", "bench-matrix-seed", "config-freq_tol", "config-matrix_seed",
+    ],
+)
+def test_removed_settings_refused(tmp_path, capsys, extra, config):
+    # k is the recoverer's only setting, and sweep/bench draw each trial's
+    # matrix seed from --seed, so these flags and config keys must not parse
+    command, flags = extra[0], list(extra[1:])
+    base = {
+        "recover": ["--measurement", str(tmp_path / "meas.csv"), "--k", "1", "--m", "8",
+                    "--out", str(tmp_path / "rec.json")],
+        "sweep": ["--values", "8", "--trials", "1", "--k", "1", "--n", "16", "--dry-run",
+                  "--out-prefix", str(tmp_path / "x")],
+        "bench": ["--k", "1", "--n", "16", "--m", "8", "--trials", "1", "--methods", "oracle"],
+    }[command]
+    if config is None:
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(command, *base, *flags)
+        assert excinfo.value.code == EXIT_VALIDATION
+        assert "unrecognized arguments: " + " ".join(flags) in capsys.readouterr().err
+    else:
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(config))
+        assert run_cli(command, *base, "--config", str(cfg)) == EXIT_VALIDATION
+        assert "unknown config keys" in capsys.readouterr().err

@@ -118,10 +118,10 @@ class TestRoundTableCache:
     def test_keyed_on_matrix_identity_and_grid(self):
         phi = gaussian_matrix(16, 32, seed=33)
         twin = gaussian_matrix(16, 32, seed=33)  # equal entries, other object
-        r = np.random.default_rng(34).normal(size=16)
+        r, r_other = np.random.default_rng(34).normal(size=(2, 16))
         estimate_sinusoid(phi, r)
         first = estimator._full_band_cache
-        estimate_sinusoid(phi, r, freq_tol=1e-6)
+        estimate_sinusoid(phi, r_other)
         assert estimator._full_band_cache is first
         omegas, _ = first[1:]
         assert omegas.size == 33 and omegas[0] == 0.0 and omegas[-1] == math.pi
@@ -280,16 +280,16 @@ class TestEstimateSinusoid:
     def test_final_bracket_meets_freq_tol(self):
         phi = gaussian_matrix(24, 48, seed=17)
         r = np.random.default_rng(18).normal(size=24)
-        out = estimate_sinusoid(phi, r, freq_tol=1e-8)
+        out = estimate_sinusoid(phi, r)
         a, b = out.bracket_history[-1]
-        assert b - a < 1e-8
+        assert b - a < estimator._FREQ_TOL
 
     def test_refinement_round_bound(self):
         # ceil(log(pi/tol) / log(grid/2)) rounds suffice with the defaults
         phi = gaussian_matrix(24, 48, seed=19)
         r = np.random.default_rng(20).normal(size=24)
-        out = estimate_sinusoid(phi, r, freq_tol=1e-8)
-        bound = math.ceil(math.log(math.pi / 1e-8) / math.log(48 / 2)) + 1
+        out = estimate_sinusoid(phi, r)
+        bound = math.ceil(math.log(math.pi / estimator._FREQ_TOL) / math.log(48 / 2)) + 1
         assert out.refinements_used <= bound
 
     @pytest.mark.parametrize(
@@ -352,19 +352,12 @@ class TestSDerivatives:
 
 
 class TestEstimatorConfigValidation:
-    """Entry checks on the estimator's inputs: grid size, freq_tol, atom pair shape."""
+    """Entry checks on the estimator's inputs: grid size and atom pair shape."""
 
     def test_bad_grid(self):
         # the refinement grid has N + 1 nodes and needs N >= 2
         with pytest.raises(ValueError, match="N >= 2"):
             estimate_sinusoid(identity_phi(1), np.ones(1))
-
-    def test_bad_tol(self):
-        phi = gaussian_matrix(8, 16, seed=24)
-        r = np.random.default_rng(25).normal(size=8)
-        for tol in (0.0, -1e-8, math.nan, math.inf):
-            with pytest.raises(ValueError, match="freq_tol"):
-                estimate_sinusoid(phi, r, freq_tol=tol)
 
     def test_atom_pair_shape_checked(self):
         with pytest.raises(ValueError):

@@ -104,7 +104,7 @@ class TestExperimentSpec:
     def test_spec_round_trips_to_dict(self):
         d = small_spec().to_dict()
         assert d["sweep_values"] == [16.0, 24.0]
-        assert d["recovery"]["freq_tol"] == 1e-8
+        assert "recovery" not in d
 
 
 class TestRunExperiment:
