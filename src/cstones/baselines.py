@@ -17,10 +17,8 @@ import numpy as np
 
 from .estimator import (
     _inside_band,
-    _measure_phasors,
     _measured_atoms,
     _orthonormal_pairs,
-    _phasors,
     amplitude_ls,
     build_atoms,
 )
@@ -33,8 +31,8 @@ __all__ = [
     "bomp_recover",
 ]
 
-# Grid nodes per grid_oracle_batch chunk: sets the size of the fixed phasor
-# block and of every per-chunk GEMM operand.
+# Grid nodes per grid_oracle_batch chunk: sets the size of every per-chunk
+# GEMM operand.
 _SCAN_CHUNK = 512
 
 # BOMP's candidate grid oversamples the N-point DFT grid this many times.
@@ -93,15 +91,11 @@ def grid_oracle_batch(
 
     Evaluates the amplitude-optimized squared error at ``grid_size``
     uniformly spaced frequencies and keeps the exact grid argmin of each
-    column, lowest index on ties.  The grid omega_i = i * delta is scanned
-    in chunks of ``_SCAN_CHUNK`` nodes.  One fixed block
-    V[t, k] = exp(i k delta t) is built once, and chunk j's phasors are V
-    with each row t rotated by exp(i alpha_j t), alpha_j the chunk's first
-    node: one broadcast multiply per chunk and no per-chunk trigonometry.
-    Each chunk's measured pairs are orthonormalized, so scoring every
-    residual column is two GEMMs and a sum of squares.  Returns per-column
-    arrays (omega, s_omega); the reported s_omega is re-evaluated directly
-    at the winning frequency.
+    column, lowest index on ties.  The grid is scanned in chunks of
+    ``_SCAN_CHUNK`` nodes; each chunk's measured pairs are orthonormalized,
+    so scoring every residual column is two GEMMs and a sum of squares.
+    Returns per-column arrays (omega, s_omega); the reported s_omega is
+    re-evaluated directly at the winning frequency.
     """
     if grid_size < 2:
         raise ValueError(f"grid_size must be >= 2, got {grid_size}")
@@ -115,31 +109,23 @@ def grid_oracle_batch(
         raise ValueError("zero residual column; nothing to scan")
 
     n_batch = residuals.shape[1]
-    n = phi.n_cols
     omegas = np.linspace(0.0, math.pi, grid_size)
-    delta = math.pi / (grid_size - 1)
-    chunk = min(_SCAN_CHUNK, grid_size)
-    block = _phasors(delta * np.arange(chunk), n)
     # best captured energy per column; larger gain means smaller error, and
     # strict ">" keeps the lowest grid index on ties
     best_gain = np.full(n_batch, -np.inf)
     best_omega = np.zeros(n_batch)
     cols = np.arange(n_batch)
     residuals_t = np.ascontiguousarray(residuals.T)
-    tile = np.empty_like(block)
-    for start in range(0, grid_size, chunk):
-        c = min(chunk, grid_size - start)
-        rotation = _phasors(np.array([start * delta]), n)
-        np.multiply(rotation, block[:, :c], out=tile[:, :c])
-        w = _measure_phasors(phi.entries, tile[:, :c])
-        q0, q1 = _orthonormal_pairs(w)
+    for start in range(0, grid_size, _SCAN_CHUNK):
+        chunk = omegas[start:start + _SCAN_CHUNK]
+        q0, q1 = _orthonormal_pairs(_measured_atoms(phi.entries, chunk))
         gain = np.square(residuals_t @ q0)
         gain += np.square(residuals_t @ q1)
         j = np.argmax(gain, axis=1)
         g_max = gain[cols, j]
         better = g_max > best_gain
         best_gain = np.where(better, g_max, best_gain)
-        best_omega = np.where(better, omegas[start + j], best_omega)
+        best_omega = np.where(better, chunk[j], best_omega)
 
     s_exact = np.empty(n_batch)
     for col in range(n_batch):

@@ -20,6 +20,7 @@ from .harness import (
     METHOD_MDS,
     METHOD_ORACLE,
     ExperimentSpec,
+    _atomic_write,
     normalized_l2_error,
     run_experiment,
     write_csv,
@@ -42,8 +43,7 @@ def _write_value_csv(path: str, values, index_name: str) -> None:
     lines = [f"{index_name},value"]
     for i, v in enumerate(values, start=1):
         lines.append(f"{i},{float(v)!r}")
-    with open(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
+    _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def _read_value_csv(path: str) -> np.ndarray:
@@ -76,9 +76,7 @@ def cmd_synth(args) -> int:
         "snr_db": args.snr,
         "noise_seed": args.noise_seed,
     }
-    with open(args.out_model, "w") as handle:
-        json.dump(record, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _atomic_write(args.out_model, json.dumps(record, indent=2, sort_keys=True) + "\n")
 
     if args.out_measurement is not None:
         if args.m is None:
@@ -113,9 +111,7 @@ def cmd_recover(args) -> int:
     if args.truth is not None:
         truth = _read_value_csv(args.truth)
         payload["nl2_error"] = normalized_l2_error(truth, result.signal)
-    with open(args.out, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _atomic_write(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     if args.out_signal is not None:
         _write_value_csv(args.out_signal, result.signal, "t")
     return EXIT_OK

@@ -150,25 +150,18 @@ def _phasors(omegas: np.ndarray, n: int) -> np.ndarray:
     return (head[:, None, :] * tail[None, :, :]).reshape(rows * step, -1)[:n]
 
 
-def _measure_phasors(phi_entries: np.ndarray, phasors: np.ndarray) -> np.ndarray:
-    """Phi @ phasors as one real GEMM on the interleaved (cos, sin) view.
-
-    Returns an M x K x 2 array whose [..., 0] plane is Phi @ cos(w_k t) and
-    whose [..., 1] plane is Phi @ sin(w_k t).
-    """
-    w = phi_entries @ np.ascontiguousarray(phasors).view(float)
-    return w.reshape(phi_entries.shape[0], -1, 2)
-
-
 def _measured_atoms(phi_entries: np.ndarray, omegas) -> np.ndarray:
     """Measured cos/sin atoms at every frequency in ``omegas`` (M x K x 2).
 
-    This is the one path that builds measured sinusoid atoms for many
-    frequencies at once; ``build_atoms`` stays the direct single-frequency
-    reference it is tested against.
+    The [..., 0] plane is Phi @ cos(w_k t) and the [..., 1] plane
+    Phi @ sin(w_k t), from one real GEMM on the interleaved (cos, sin) view
+    of the phasor table.  This is the one path that builds measured
+    sinusoid atoms for many frequencies at once; ``build_atoms`` stays the
+    direct single-frequency reference it is tested against.
     """
-    omegas = np.asarray(omegas, dtype=float)
-    return _measure_phasors(phi_entries, _phasors(omegas, phi_entries.shape[1]))
+    phasors = _phasors(np.asarray(omegas, dtype=float), phi_entries.shape[1])
+    w = phi_entries @ phasors.view(float)
+    return w.reshape(phi_entries.shape[0], -1, 2)
 
 
 def _orthonormal_pairs(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -13,10 +13,10 @@ least squares at the true frequencies), "bomp" (band-excluded pursuit).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
-import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -263,7 +263,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     tasks = [(v, t) for v in spec.sweep_values for t in range(spec.trials)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            cell_rows = list(pool.map(_run_cell_star, [(spec, v, t) for v, t in tasks]))
+            cell_rows = list(pool.map(_run_cell, itertools.repeat(spec), *zip(*tasks)))
     else:
         cell_rows = [_run_cell(spec, v, t) for v, t in tasks]
 
@@ -303,20 +303,20 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     return ExperimentResult(spec=spec, rows=ordered, summary=summary, metadata=metadata)
 
 
-def _run_cell_star(args):
-    return _run_cell(*args)
-
-
 def _value_key(v: float) -> str:
     return repr(int(v)) if float(v).is_integer() else repr(float(v))
 
 
 def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    """Write ``text`` to ``path`` by a rename, creating missing directories.
+
+    The temporary file is opened like any output file, so the result gets
+    the usual umask-governed permissions.
+    """
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with os.fdopen(fd, "w") as handle:
+        with open(tmp, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -121,6 +121,18 @@ class TestGridOracle:
         expected = float(noise @ noise) - float(noise @ cos_w) ** 2 / float(cos_w @ cos_w)
         assert s_vals[0] == pytest.approx(expected, rel=1e-9)
 
+    @pytest.mark.parametrize("omega", [0.0, math.pi])
+    @pytest.mark.parametrize(
+        "phi", [identity_phi(8), gaussian_matrix(16, 32, seed=1)], ids=["eye8", "gauss16x32"]
+    )
+    def test_band_end_tone_one_node_last_chunk(self, phi, omega):
+        # 2 * _SCAN_CHUNK + 1 nodes leave node pi alone in the last chunk
+        _, cos_w = sinusoid_samples(omega, phi.n_cols)
+        r = phi.entries @ (1.5 * cos_w)
+        omegas, s_vals = grid_oracle_batch(phi, r[:, None], 2 * baselines._SCAN_CHUNK + 1)
+        assert omegas[0] == omega
+        assert s_vals[0] <= 1e-24 * float(r @ r)
+
     def test_estimator_never_beaten_by_dense_grid(self):
         # anti-drift check on well-separated single-tone residuals
         for seed in range(5):

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import json
+import stat
 
 import pytest
 
@@ -103,6 +104,38 @@ class TestRecover:
         lines = out_sig.read_text().splitlines()
         assert lines[0] == "t,value"
         assert len(lines) == 129
+
+    def test_out_into_new_directory(self, tmp_path):
+        _, _, meas = self.make_fixture(tmp_path)
+        out = tmp_path / "new" / "r.json"
+        code = run_cli(
+            "recover", "--measurement", str(meas), "--k", "3", "--n", "128",
+            "--m", "64", "--matrix-seed", "3", "--out", str(out),
+        )
+        assert code == EXIT_OK
+        assert len(json.loads(out.read_text())["model"]["components"]) == 3
+
+    def test_outputs_get_umask_permissions(self, tmp_path):
+        # every output file gets the permissions of a plainly opened file
+        _, _, meas = self.make_fixture(tmp_path)
+        run_cli(
+            "recover", "--measurement", str(meas), "--k", "3", "--n", "128",
+            "--m", "64", "--matrix-seed", "3", "--out", str(tmp_path / "rec.json"),
+        )
+        run_cli(
+            "sweep", "--values", "16", "--trials", "1", "--k", "1", "--n", "32",
+            "--out-prefix", str(tmp_path / "sweep"),
+        )
+        plain = tmp_path / "plain.txt"
+        plain.write_text("")
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == [
+            "meas.csv", "model.json", "plain.txt", "rec.json", "signal.csv",
+            "sweep.csv", "sweep.json",
+        ]
+        for name in names:
+            mode = (tmp_path / name).stat().st_mode
+            assert stat.S_IMODE(mode) == stat.S_IMODE(plain.stat().st_mode), name
 
     def test_missing_file_exits_1(self, tmp_path):
         code = run_cli(
