@@ -1,11 +1,13 @@
 """
-Recovering K sinusoids by cyclic model fitting
-==============================================
+Recovering K sinusoids: cyclic warm-up, then a joint polish
+===========================================================
 
 The recoverer keeps K per-component estimates and sweeps over them in
-order: each component is re-estimated against the measurement with the
-other components' contributions subtracted.  The measurement-domain
-residual is non-increasing across sweeps and stalls once the model fits.
+order, at most four times: each component is re-estimated against the
+measurement with the other components' contributions subtracted, and the
+measurement-domain residual is non-increasing across sweeps.  One joint
+polish then refines all K frequencies at once, with the amplitudes fitted
+by least squares, and is kept only if it lowers the residual further.
 """
 
 import math
@@ -39,9 +41,10 @@ pairs, errors = match_frequencies(truth.frequencies, result.model.frequencies)
 print("per-tone frequency errors:", [f"{e:.2e}" for e in errors])
 print(f"normalized l2 error: {normalized_l2_error(x, result.signal):.3e}")
 
-print(f"\nconverged after {result.sweeps_used} sweeps; residual per sweep:")
+print(f"\n{result.sweeps_used} warm-up sweeps, stop reason {result.stop_reason!r}; residuals:")
 for i, norm in enumerate(result.sweep_residual_norms, start=1):
-    print(f"  sweep {i:2d}: ||m - Phi s_hat|| = {norm:.3e}")
+    step = f"sweep {i}" if i <= result.sweeps_used else "polish "
+    print(f"  {step}: ||m - Phi s_hat|| = {norm:.3e}")
 
 # The same pipeline degrades gracefully under noise; errors track the SNR.
 from cstones import NoiseSpec, add_noise

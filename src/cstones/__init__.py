@@ -1,10 +1,11 @@
 """Recovery of frequency-sparse signals from compressed measurements.
 
 The package fits a small number of off-grid sinusoids directly to
-compressed measurements m = Phi @ x by cyclic least-squares model fitting:
-a grid-plus-Newton single-tone estimator (:mod:`cstones.estimator`) inside
-a greedy per-component loop (:mod:`cstones.recovery`), plus reference
-baselines and a reproducible Monte Carlo harness.
+compressed measurements m = Phi @ x by least-squares model fitting: a
+grid-plus-Newton single-tone estimator (:mod:`cstones.estimator`) inside a
+short cyclic per-component warm-up, then one joint polish of all the
+frequencies (:mod:`cstones.recovery`), plus reference baselines and a
+reproducible Monte Carlo harness.
 """
 
 from .baselines import bomp_recover, grid_oracle_batch, oracle_ls

@@ -101,6 +101,7 @@ def cmd_recover(args) -> int:
     payload = {
         "model": result.model.to_dict(),
         "sweeps_used": result.sweeps_used,
+        "stop_reason": result.stop_reason,
         "final_residual_norm": result.final_residual_norm,
         "sweep_residual_norms": list(result.sweep_residual_norms),
         "config": {

@@ -264,7 +264,9 @@ def estimate_sinusoid(phi: SensingMatrix, r: np.ndarray) -> EstimateOutcome:
     bisects, and one shorter than _FREQ_TOL / 2 is lengthened to it, so
     that the bracket closes from both sides.  The polished frequency is the
     latest Newton point in the bracket (else its end of lower s), kept only
-    if its error is no larger than node j's.  The returned residual_sq is
+    if its error is no larger than node j's.  A point whose pair is
+    degenerate (within rounding of 0 or pi) ends the search at once, on the
+    bracket end of lower s.  The returned residual_sq is
     exactly ``amplitude_ls`` re-evaluated at the returned frequency.
     """
     r = np.asarray(r, dtype=float)
@@ -287,6 +289,9 @@ def estimate_sinusoid(phi: SensingMatrix, r: np.ndarray) -> EstimateOutcome:
     while b - a >= _FREQ_TOL and len(s_history) <= _MAX_NEWTON_STEPS:
         s_x, d1, d2 = _s_derivatives(phi.entries, r, x)
         s_history.append(min(s_history[-1], s_x))
+        if s_x == math.inf:  # a degenerate pair has no s' to bracket by
+            omega = a if s_a <= s_b else b
+            break
         if d1 > 0.0:
             b, s_b = x, s_x
         else:

@@ -53,7 +53,7 @@ _KNOWN_METHODS = (METHOD_MDS, METHOD_ORACLE, METHOD_BOMP)
 AXIS_M = "m"
 AXIS_SNR = "snr"
 
-CSV_HEADER = "sweep_value,method,trial,seed,nl2_error,freq_err_total,time_s"
+CSV_HEADER = "sweep_value,method,trial,seed,nl2_error,freq_err_total,error,time_s"
 
 # Salt separating the noise stream from the model-drawing stream, which both
 # derive from base_seed ^ trial.
@@ -124,7 +124,11 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class TrialResult:
-    """One (sweep value, method, trial) row."""
+    """One (sweep value, method, trial) row.
+
+    ``error`` is the class name of the exception a failed trial raised,
+    and empty on success.
+    """
 
     sweep_value: float
     method: str
@@ -133,6 +137,7 @@ class TrialResult:
     nl2_error: float
     freq_errors: tuple[float, ...] | None
     time_s: float
+    error: str = ""
 
     @property
     def freq_err_total(self) -> float:
@@ -153,7 +158,7 @@ class ExperimentResult:
     def csv_lines(self) -> list[str]:
         return [CSV_HEADER] + [
             f"{row.sweep_value!r},{row.method},{row.trial},{row.seed},"
-            f"{row.nl2_error!r},{row.freq_err_total!r},{row.time_s!r}"
+            f"{row.nl2_error!r},{row.freq_err_total!r},{row.error},{row.time_s!r}"
             for row in self.rows
         ]
 
@@ -213,6 +218,7 @@ def _run_cell(spec: ExperimentSpec, sweep_value: float, trial: int) -> list[Tria
     rows = []
     for method in spec.methods:
         t0 = time.perf_counter()
+        error = ""
         try:
             xhat, freqs_hat = _apply_method(method, spec, phi, meas, model)
             elapsed = time.perf_counter() - t0
@@ -221,12 +227,13 @@ def _run_cell(spec: ExperimentSpec, sweep_value: float, trial: int) -> list[Tria
                 _, freq_errors = match_frequencies(model.frequencies, freqs_hat)
             else:
                 freq_errors = None
-        except Exception:
-            # Failed trials score the worst-case xhat = 0 error and keep the
-            # sweep running.
+        except Exception as exc:
+            # Failed trials score the worst-case xhat = 0 error, record the
+            # exception's class and keep the sweep running.
             elapsed = time.perf_counter() - t0
             nl2 = 1.0
             freq_errors = None
+            error = type(exc).__name__
         rows.append(
             TrialResult(
                 sweep_value=sweep_value,
@@ -236,6 +243,7 @@ def _run_cell(spec: ExperimentSpec, sweep_value: float, trial: int) -> list[Tria
                 nl2_error=nl2,
                 freq_errors=freq_errors,
                 time_s=elapsed,
+                error=error,
             )
         )
     return rows
@@ -282,14 +290,16 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     for v in spec.sweep_values:
         cell = {}
         for meth in spec.methods:
-            errs = [r.nl2_error for r in ordered if r.sweep_value == v and r.method == meth]
-            times = [r.time_s for r in ordered if r.sweep_value == v and r.method == meth]
+            method_rows = [r for r in ordered if r.sweep_value == v and r.method == meth]
+            errs = [r.nl2_error for r in method_rows]
+            times = [r.time_s for r in method_rows]
             cell[meth] = {
                 "mean_error": float(np.mean(errs)),
                 "median_error": float(np.median(errs)),
                 "mean_time_s": float(np.mean(times)),
                 "median_time_s": float(np.median(times)),
-                "trials": len(errs),
+                "trials": len(method_rows),
+                "failures": sum(bool(r.error) for r in method_rows),
             }
         summary[_value_key(v)] = cell
 
@@ -298,7 +308,10 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
         "matrix_policy": "redrawn per trial, seed = base_seed ^ trial ^ round(sweep_value)",
         "model_seed": "base_seed ^ trial (shared across sweep values)",
         "noise_seed": "(base_seed ^ salt) ^ trial, common noise stream across sweep values",
-        "failed_trial_convention": "nl2_error = 1.0 (the xhat = 0 worst case), freq errors empty",
+        "failed_trial_convention": (
+            "nl2_error = 1.0 (the xhat = 0 worst case), freq errors empty, "
+            "error = the exception's class name"
+        ),
     }
     return ExperimentResult(spec=spec, rows=ordered, summary=summary, metadata=metadata)
 

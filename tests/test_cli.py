@@ -88,6 +88,11 @@ class TestRecover:
         )
         assert code == EXIT_OK
         payload = json.loads(out.read_text())
+        assert set(payload) == {
+            "model", "sweeps_used", "stop_reason", "final_residual_norm",
+            "sweep_residual_norms", "config", "nl2_error",
+        }
+        assert payload["stop_reason"] == "polished"
         assert payload["nl2_error"] < 1e-3
         assert payload["config"]["matrix"]["kind"] == "gaussian"
         assert len(payload["model"]["components"]) == 3
@@ -185,6 +190,7 @@ class TestSweep:
         )
         assert code == EXIT_OK
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert lines[0] == "sweep_value,method,trial,seed,nl2_error,freq_err_total,error,time_s"
         assert len(lines) == 1 + 2 * 2 * 2  # header + values x methods x trials
         assert (tmp_path / "sweep.json").exists()
         assert (tmp_path / "sweep.svg").exists()

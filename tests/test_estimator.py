@@ -307,6 +307,19 @@ class TestEstimateSinusoid:
         assert abs(out.params.omega - omega) < 1e-9
         assert out.residual_sq < 1e-12 * float(r @ r)
 
+    def test_degenerate_point_ends_the_search(self):
+        # this pure-noise residual's fit keeps improving toward omega = 0;
+        # the Newton steps reach the degenerate zone there and must stop at
+        # once rather than bisect against its edge (17 extra steps)
+        phi = gaussian_matrix(64, 128, seed=202)
+        r = np.random.default_rng(303).normal(size=(200, 64))[160]
+        out = estimate_sinusoid(phi, r)
+        assert out.refinements_used <= 9
+        assert math.isfinite(estimator._s_derivatives(phi.entries, r, out.params.omega)[0])
+        assert out.residual_sq <= out.best_s_history[0]
+        a, b = out.bracket_history[-1]
+        assert a <= out.params.omega <= b
+
     def test_zero_residual_rejected(self):
         phi = gaussian_matrix(8, 16, seed=21)
         with pytest.raises(ValueError):

@@ -176,8 +176,12 @@ class TestRunExperiment:
         assert len(failed) == spec.trials
         assert all(r.nl2_error == 1.0 for r in failed)
         assert all(math.isnan(r.freq_err_total) for r in failed)
+        assert all(r.error == "ValueError" for r in failed)
         healthy = [r for r in result.rows if r.sweep_value == 24.0]
         assert all(r.nl2_error < 1.0 for r in healthy)
+        assert all(r.error == "" for r in healthy)
+        assert result.summary["2"][METHOD_ORACLE]["failures"] == spec.trials
+        assert result.summary["24"][METHOD_ORACLE]["failures"] == 0
 
     def test_snr_axis(self):
         spec = small_spec(
@@ -212,7 +216,10 @@ class TestSerialization:
         write_csv(self.result, str(path))
         lines = path.read_text().splitlines()
         assert lines[0] == CSV_HEADER
+        assert CSV_HEADER == "sweep_value,method,trial,seed,nl2_error,freq_err_total,error,time_s"
         assert len(lines) == 1 + len(self.result.rows)
+        # a successful row leaves the error column empty
+        assert all(line.split(",")[-2] == "" for line in lines[1:])
 
     def test_csv_identical_across_reruns_excluding_time(self, tmp_path):
         write_csv(self.result, str(tmp_path / "a.csv"))

@@ -1,4 +1,4 @@
-"""Tests for the cyclic greedy recovery loop."""
+"""Tests for the recoverer: cyclic warm-up sweeps, then the joint polish."""
 
 import math
 
@@ -14,7 +14,8 @@ from cstones.model import (
     draw_model,
     synthesize,
 )
-from cstones.recovery import RecoveryConfig, _assemble_model, recover
+import cstones.recovery as recovery
+from cstones.recovery import RecoveryConfig, _admissible, _assemble_model, _polish, recover
 from cstones.sensing import SUBSAMPLING, Measurement, SensingMatrix, gaussian_matrix, measure
 
 
@@ -99,6 +100,7 @@ class TestRecover:
         assert all(c.amplitude == 0.0 for c in result.model.components)
         np.testing.assert_array_equal(result.signal, np.zeros(32))
         assert result.final_residual_norm == 0.0
+        assert (result.stop_reason, result.sweeps_used) == ("zero_input", 0)
 
     def test_underdetermined_warns_but_runs(self):
         phi = gaussian_matrix(8, 32, seed=11)
@@ -121,11 +123,92 @@ class TestRecover:
         post = np.linalg.norm(r - phi.entries @ estimates[1]) ** 2
         assert post <= out.residual_sq + 1e-9
 
+    def test_polish_kept_adds_one_norm_and_no_sweep(self):
+        truth = draw_model(3, 128, math.pi / 128, "freq", seed=8)
+        phi = gaussian_matrix(64, 128, seed=9)
+        result = recover(phi, measure(phi, synthesize(truth)), RecoveryConfig(k=3))
+        assert result.stop_reason == "polished"
+        assert result.sweeps_used <= RecoveryConfig.max_sweeps
+        assert len(result.sweep_residual_norms) == result.sweeps_used + 1
+        assert result.sweep_residual_norms[-1] < result.sweep_residual_norms[-2]
+
+    def test_converged_warm_up_with_refused_polish(self):
+        # one noiseless tone: the second sweep repeats the first, and the
+        # estimator's fit leaves the polish nothing to lower
+        phi = gaussian_matrix(32, 64, seed=5)
+        model = SignalModel((SinusoidParams(1.2, 1.0, 0.3),), 64)
+        result = recover(phi, measure(phi, synthesize(model)), RecoveryConfig(k=1))
+        assert (result.stop_reason, result.sweeps_used) == ("converged", 2)
+        assert len(result.sweep_residual_norms) == 2
+
+    def test_refused_polish_after_full_warm_up_reports_sweep_cap(self, monkeypatch):
+        # a polish that fits nothing raises the residual, so it is refused
+        # and the result is the warm-up's own
+        truth = draw_model(3, 128, math.pi / 128, "freq", seed=8)
+        phi = gaussian_matrix(64, 128, seed=9)
+        m = measure(phi, synthesize(truth))
+        monkeypatch.setattr(recovery, "_polish", lambda _, mv, w: (w, np.zeros(2 * w.size)))
+        result = recover(phi, m, RecoveryConfig(k=3))
+        assert result.stop_reason == "sweep_cap"
+        assert result.sweeps_used == RecoveryConfig.max_sweeps
+        assert len(result.sweep_residual_norms) == RecoveryConfig.max_sweeps
+
+    @pytest.mark.parametrize(
+        "model_seed, matrix_seed",
+        [
+            (662602001, 1668840584),  # tones 0.045 rad apart near pi
+            (1308732530, 1800107733),  # tones 0.032 rad apart near 0
+        ],
+    )
+    def test_close_pairs_near_band_ends_recovered(self, model_seed, matrix_seed):
+        # flagship inputs on which 60 cyclic sweeps zigzag to nl2 1.4e-3 and 6.4e-3
+        truth = draw_model(3, 128, math.pi / 128, "freq", seed=model_seed)
+        x = synthesize(truth)
+        phi = gaussian_matrix(64, 128, seed=matrix_seed)
+        result = recover(phi, measure(phi, x), RecoveryConfig(k=3))
+        assert np.linalg.norm(x - result.signal) / np.linalg.norm(x) < 1e-3
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             RecoveryConfig(k=0)
-        with pytest.raises(TypeError):  # the sweep cap is a constant, not a field
+        with pytest.raises(TypeError):  # the warm-up length is a constant, not a field
             RecoveryConfig(k=1, max_sweeps=0)
+
+
+class TestPolish:
+    @pytest.mark.parametrize(
+        "omegas, ok",
+        [
+            ([0.5, 1.0, 2.0], True),
+            ([0.5, 1.0, 0.5], False),  # two frequencies equal
+            ([0.0, 1.0], False),
+            ([-0.1, 1.0], False),
+            ([1.0, math.pi], False),
+            ([1.0, 3.2], False),
+            ([1.0, math.nan], False),
+        ],
+    )
+    def test_admissible_frequencies(self, omegas, ok):
+        assert _admissible(np.array(omegas)) is ok
+
+    def test_refuses_steps_out_of_band(self, monkeypatch):
+        # from 0.0775 the first Gauss-Newton step for a tone at 0.002 lands
+        # at -0.073; it must be refused, never fitted, and the damped steps
+        # must still reach the tone
+        phi = gaussian_matrix(32, 64, seed=3)
+        mv = phi.entries @ np.sin(0.002 * np.arange(1, 65) + 0.3)
+        proposed, fitted = [], []
+        admissible, fit = recovery._admissible, recovery._projected_fit
+        monkeypatch.setattr(
+            recovery, "_admissible", lambda w: proposed.append(w.copy()) or admissible(w)
+        )
+        monkeypatch.setattr(
+            recovery, "_projected_fit", lambda p, m, w: fitted.append(w.copy()) or fit(p, m, w)
+        )
+        omegas, _ = _polish(phi.entries, mv, np.array([0.0775]))
+        assert any(w[0] <= 0.0 for w in proposed)
+        assert all(0.0 < w[0] < math.pi for w in fitted)
+        assert abs(omegas[0] - 0.002) < 1e-9
 
 
 _P = SinusoidParams
@@ -169,6 +252,7 @@ class TestScaleEquivariance:
         base = recover(phi, m, RecoveryConfig(k=2))
         scaled = recover(phi, Measurement(np.ldexp(m.values, k)), RecoveryConfig(k=2))
         assert scaled.sweeps_used == base.sweeps_used
+        assert scaled.stop_reason == base.stop_reason
         for a, b in zip(base.model.components, scaled.model.components):
             assert (b.omega, b.amplitude, b.phase) == (a.omega, math.ldexp(a.amplitude, k), a.phase)
         assert scaled.signal.tobytes() == np.ldexp(base.signal, k).tobytes()
