@@ -9,6 +9,7 @@ or spec error, 2 dimension/validation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -220,7 +221,9 @@ def _add_matrix_args(parser, require_m: bool) -> None:
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="cstones",
         description="Recover frequency-sparse signals from compressed measurements.",

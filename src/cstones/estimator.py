@@ -196,19 +196,27 @@ def _orthonormal_pairs(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # The most recent matrix, held so an identity match is never a recycled id,
-# with its read-only full-band table.
+# with its read-only full-band table and derivative operator.
 _full_band_cache = None
 
 
 def _full_band(phi: SensingMatrix):
-    """The N + 1 nodes over [0, pi] and their orthonormal pair tables (q0, q1)."""
+    """The N + 1 nodes over [0, pi], their orthonormal pair tables (q0, q1)
+    and the 3M x N derivative operator [Phi; Phi T; Phi T^2], T = diag(1..N).
+
+    One product of the operator with sin/cos samples at a frequency gives
+    the measured pair and its t- and t^2-weighted versions, from which
+    ``_s_derivatives`` and the recovery polish read their derivatives.
+    """
     global _full_band_cache
     if _full_band_cache is None or _full_band_cache[0] is not phi:
         omegas = np.linspace(0.0, math.pi, phi.n_cols + 1)
         q0, q1 = _orthonormal_pairs(_measured_atoms(phi.entries, omegas))
-        for x in (omegas, q0, q1):
+        t = np.arange(1.0, phi.n_cols + 1.0)
+        stacked = np.concatenate((phi.entries, phi.entries * t, phi.entries * (t * t)))
+        for x in (omegas, q0, q1, stacked):
             x.flags.writeable = False
-        _full_band_cache = (phi, omegas, (q0, q1))
+        _full_band_cache = (phi, omegas, (q0, q1), stacked)
     return _full_band_cache[1:]
 
 
@@ -226,30 +234,46 @@ def _grid_eval(tables, r):
     return np.einsum("ij,ij->j", res, res)
 
 
-def _s_derivatives(phi_entries: np.ndarray, r: np.ndarray, omega: float):
+def _s_derivatives(stacked: np.ndarray, r: np.ndarray, omega: float):
     """s(omega) = min_x ||r - A x||^2 and its exact derivatives s', s''.
 
-    One product of Phi with the t^0-, t^1- and t^2-weighted sin/cos columns
-    gives the pair A and its derivatives A', A''.  With G = A^T A, the fit
-    x = G^-1 A^T r and its error e = r - A x, s' = -2 e . A'x (envelope
-    theorem) and s'' = 2 ||A'x||^2 - 2 e . A''x - 2 c^T G^-1 c, where
-    c = A'^T e - A^T A'x is G dx/domega.  A degenerate pair (omega within
-    rounding of 0 or pi) has no 2x2 fit: s is then inf and s', s'' NaN.
+    ``stacked`` is the operator [Phi; Phi T; Phi T^2] from ``_full_band``.
+    One product of it with the N x 2 block [sin wt, cos wt] gives, as row
+    slices, the pair A = [Phi sin, Phi cos] and the weighted pairs from
+    which A' = [Phi T cos, -Phi T sin] and A'' = -[Phi T^2 sin, Phi T^2 cos]
+    are read.  With G = A^T A, the fit x = G^-1 A^T r and its error
+    e = r - A x, s' = -2 e . A'x (envelope theorem) and
+    s'' = 2 ||A'x||^2 - 2 e . A''x - 2 c^T G^-1 c, where c = A'^T e - A^T A'x
+    is G dx/domega.  The 2x2 algebra runs on scalars, and e . A'x and
+    e . A''x come from one product of e with the weighted rows.  A
+    degenerate pair (omega within rounding of 0 or pi) has no 2x2 fit: s
+    is then inf and s', s'' NaN.
     """
-    t = np.arange(1, phi_entries.shape[1] + 1, dtype=float)
-    sin_w, cos_w = sinusoid_samples(omega, t.size)
-    cols = np.column_stack((sin_w, cos_w, t * cos_w, -t * sin_w, -t * t * sin_w, -t * t * cos_w))
-    a, da, d2a = np.hsplit(phi_entries @ cols, 3)
-    (g00, g01), (_, g11) = a.T @ a
+    m, n = r.size, stacked.shape[1]
+    wt = omega * np.arange(1.0, n + 1.0)
+    block = np.empty((n, 2))
+    np.sin(wt, out=block[:, 0])
+    np.cos(wt, out=block[:, 1])
+    y = stacked @ block
+    a, ta = y[:m], y[m : 2 * m]
+    (g00, g01), (_, g11) = (a.T @ a).tolist()
     det = g00 * g11 - g01 * g01
     if not det > _GRAM_DET_TOL * (g00 + g11) ** 2:
         return math.inf, math.nan, math.nan
-    g_inv = np.array([[g11, -g01], [-g01, g00]]) / det
-    x = g_inv @ (a.T @ r)
-    e = r - a @ x
-    v = da @ x
-    c = da.T @ e - a.T @ v
-    return float(e @ e), -2.0 * float(e @ v), 2.0 * float(v @ v - e @ (d2a @ x) - c @ g_inv @ c)
+    b0, b1 = (r @ a).tolist()
+    x0 = (g11 * b0 - g01 * b1) / det
+    x1 = (g00 * b1 - g01 * b0) / det
+    e = r - a @ (x0, x1)
+    v = ta @ (-x1, x0)  # A'x
+    # e against Phi T sin, Phi T cos, Phi T^2 sin, Phi T^2 cos
+    (e_ts, e_tc), (e_t2s, e_t2c) = (e @ y[m:].reshape(2, m, 2)).tolist()
+    a_v0, a_v1 = (v @ a).tolist()
+    c0 = e_tc - a_v0
+    c1 = -e_ts - a_v1
+    c_g_c = (g11 * c0 * c0 - 2.0 * g01 * c0 * c1 + g00 * c1 * c1) / det
+    e_dv = x0 * e_tc - x1 * e_ts  # e . A'x
+    e_d2v = -(x0 * e_t2s + x1 * e_t2c)  # e . A''x
+    return float(e @ e), -2.0 * e_dv, 2.0 * (float(v @ v) - e_d2v - c_g_c)
 
 
 def estimate_sinusoid(phi: SensingMatrix, r: np.ndarray) -> EstimateOutcome:
@@ -260,14 +284,16 @@ def estimate_sinusoid(phi: SensingMatrix, r: np.ndarray) -> EstimateOutcome:
     it inside [omega_(j-1), omega_(j+1)] until the bracket is narrower than
     _FREQ_TOL, starting mid-bracket when j is a band end, whose pair is
     degenerate.  Each evaluated point replaces the bracket end whose s'
-    sign it shares; a step that leaves the bracket or meets s'' <= 0
-    bisects, and one shorter than _FREQ_TOL / 2 is lengthened to it, so
-    that the bracket closes from both sides.  The polished frequency is the
-    latest Newton point in the bracket (else its end of lower s), kept only
-    if its error is no larger than node j's.  A point whose pair is
-    degenerate (within rounding of 0 or pi) ends the search at once, on the
-    bracket end of lower s.  The returned residual_sq is
-    exactly ``amplitude_ls`` re-evaluated at the returned frequency.
+    sign it shares.  s is even about each band end, so a Newton point past
+    0 or pi is mirrored back into the band; a step that then leaves the
+    bracket or meets s'' <= 0 bisects, and one shorter than _FREQ_TOL / 2
+    is lengthened to it, so that the bracket closes from both sides.  The
+    polished frequency is the latest Newton point in the bracket (else its
+    end of lower s), kept only if its error is no larger than node j's.  A
+    point whose pair is degenerate (within rounding of 0 or pi) ends the
+    search at once, on the bracket end of lower s.  The returned
+    residual_sq is exactly ``amplitude_ls`` re-evaluated at the returned
+    frequency.
     """
     r = np.asarray(r, dtype=float)
     if r.ndim != 1 or r.size != phi.m_rows:
@@ -278,7 +304,7 @@ def estimate_sinusoid(phi: SensingMatrix, r: np.ndarray) -> EstimateOutcome:
     if n < 2:
         raise ValueError(f"the frequency grid needs N >= 2 columns, got N={n}")
 
-    omegas, tables = _full_band(phi)
+    omegas, tables, stacked = _full_band(phi)
     s = _grid_eval(tables, r)
     j = int(np.argmin(s))
     lo, hi = max(j - 1, 0), min(j + 1, n)
@@ -287,7 +313,7 @@ def estimate_sinusoid(phi: SensingMatrix, r: np.ndarray) -> EstimateOutcome:
     s_history = [float(s[j])]
     x = omega = float(omegas[j]) if 0 < j < n else 0.5 * (a + b)
     while b - a >= _FREQ_TOL and len(s_history) <= _MAX_NEWTON_STEPS:
-        s_x, d1, d2 = _s_derivatives(phi.entries, r, x)
+        s_x, d1, d2 = _s_derivatives(stacked, r, x)
         s_history.append(min(s_history[-1], s_x))
         if s_x == math.inf:  # a degenerate pair has no s' to bracket by
             omega = a if s_a <= s_b else b
@@ -297,6 +323,12 @@ def estimate_sinusoid(phi: SensingMatrix, r: np.ndarray) -> EstimateOutcome:
         else:
             a, s_a = x, s_x
         newton = x - d1 / d2 if d2 > 0.0 else math.nan
+        # s is even about each band end, so a Newton point past one is
+        # mirrored back into the band
+        if newton < 0.0:
+            newton = -newton
+        elif newton > math.pi:
+            newton = 2.0 * math.pi - newton
         if a <= newton <= b:
             omega = newton
             step = newton - x

@@ -31,7 +31,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .estimator import _inside_band, _measured_atoms, estimate_sinusoid
+from .estimator import _full_band, _inside_band, _measured_atoms, estimate_sinusoid
 from .model import SignalModel, SinusoidParams, component_samples, synthesize
 from .sensing import Measurement, SensingMatrix
 
@@ -130,44 +130,52 @@ def _admissible(omegas: np.ndarray) -> bool:
     return inside and np.unique(omegas).size == omegas.size
 
 
-def _projected_fit(phi_entries: np.ndarray, mv: np.ndarray, omegas: np.ndarray):
-    """The M x 2K atoms at ``omegas``, their least-squares coefficients for
-    ``mv`` (cosine, sine per tone) and the error ||mv - A c||^2."""
-    a = _measured_atoms(phi_entries, omegas).reshape(mv.size, -1)
+def _projected_fit(weighted: np.ndarray, mv: np.ndarray, omegas: np.ndarray):
+    """The least-squares fit of ``mv`` by tones at ``omegas``.
+
+    One ``_measured_atoms`` call on ``weighted`` = [Phi; Phi T] gives the
+    M x 2K atoms A (cosine, sine per tone) and their t-weighted versions.
+    Returns A, the coefficients c, the columns D = dA/dw c (see
+    ``_polish``) and the error ||mv - A c||^2.
+    """
+    atoms = _measured_atoms(weighted, omegas)
+    a = atoms[: mv.size].reshape(mv.size, -1)
     coef = np.linalg.lstsq(a, mv, rcond=None)[0]
+    d = atoms[mv.size :, :, 0] * coef[1::2] - atoms[mv.size :, :, 1] * coef[0::2]
     e = mv - a @ coef
-    return a, coef, float(e @ e)
+    return a, coef, d, float(e @ e)
 
 
-def _polish(phi_entries: np.ndarray, mv: np.ndarray, omegas: np.ndarray):
+def _polish(stacked: np.ndarray, mv: np.ndarray, omegas: np.ndarray):
     """Levenberg-Marquardt on the K frequencies with the amplitudes projected out.
 
-    Tone k contributes c_k cos(w_k t) + s_k sin(w_k t), so with the fitted
-    coefficients the columns D_k = Phi @ (t * (s_k cos w_k t - c_k sin w_k t))
-    are dA/dw_k c, and Kaufman's variable-projection Jacobian of the error
-    e is J = -P D, P the projector off the atoms' span.  Each trial step
-    solves (J^T J + lam diag(J^T J)) delta = D^T e; a step is taken only if
-    it keeps the frequencies admissible and does not raise ||e||^2 beyond
+    ``stacked`` is the derivative operator [Phi; Phi T; Phi T^2] from
+    ``_full_band``; the fits read its top 2M rows.  Tone k contributes
+    c_k cos(w_k t) + s_k sin(w_k t), so with the fitted coefficients the
+    columns D_k = Phi @ (t * (s_k cos w_k t - c_k sin w_k t)), read as
+    s_k (Phi T cos) - c_k (Phi T sin) off the fit's weighted atoms, are
+    dA/dw_k c, and Kaufman's variable-projection Jacobian of the error e is
+    J = -P D, P the projector off the atoms' span.  Each trial step solves
+    (J^T J + lam diag(J^T J)) delta = D^T e; a step is taken only if it
+    keeps the frequencies admissible and does not raise ||e||^2 beyond
     _POLISH_COST_SLACK, and lam shrinks tenfold on a taken step and grows
     tenfold on a refused one.  Returns the final frequencies and
     coefficients.
     """
-    t = np.arange(1, phi_entries.shape[1] + 1, dtype=float)
-    a, coef, cost = _projected_fit(phi_entries, mv, omegas)
+    weighted = stacked[: 2 * mv.size]
+    a, coef, d, cost = _projected_fit(weighted, mv, omegas)
     lam = 1e-3
     jtj = None
     for _ in range(_POLISH_MAX_TRIALS):
         if jtj is None:  # the Jacobian at a newly taken point
-            wt = np.multiply.outer(t, omegas)
-            d = phi_entries @ (t[:, None] * (coef[1::2] * np.cos(wt) - coef[0::2] * np.sin(wt)))
             jac = d - a @ np.linalg.lstsq(a, d, rcond=None)[0]
             jtj = jac.T @ jac
             grad = d.T @ (mv - a @ coef)
         delta = np.linalg.lstsq(jtj + lam * np.diag(np.diag(jtj)), grad, rcond=None)[0]
         trial = omegas + delta
-        fit = _projected_fit(phi_entries, mv, trial) if _admissible(trial) else None
-        if fit is not None and fit[2] <= cost * (1.0 + _POLISH_COST_SLACK):
-            omegas, (a, coef, cost) = trial, fit
+        fit = _projected_fit(weighted, mv, trial) if _admissible(trial) else None
+        if fit is not None and fit[3] <= cost * (1.0 + _POLISH_COST_SLACK):
+            omegas, (a, coef, d, cost) = trial, fit
             jtj = None
             lam *= 0.1
         else:
@@ -253,7 +261,7 @@ def recover(
     sweeps_used = len(sweep_norms)
     omegas = np.array([math.nan if p is None else p.omega for p in params])
     if sweep_norms[-1] > 0.0 and _admissible(omegas):
-        omegas, coef = _polish(phi.entries, mv, omegas)
+        omegas, coef = _polish(_full_band(phi)[2], mv, omegas)
         polished = [
             SinusoidParams.from_linear(_inside_band(float(w)), float(s), float(c))
             for w, c, s in zip(omegas, coef[0::2], coef[1::2])

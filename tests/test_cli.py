@@ -5,7 +5,7 @@ import stat
 
 import pytest
 
-from cstones.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
+from cstones.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, _build_parser, main
 from cstones.model import SignalModel
 
 
@@ -256,12 +256,21 @@ class TestSweep:
         assert not list(tmp_path.glob("x.*"))
 
     def test_rerun_byte_identical_excluding_time(self, tmp_path):
+        # the parser is built once per process; a --config run in between
+        # must leave the second plain run's defaults untouched
+        assert _build_parser() is _build_parser()
         args = (
             "sweep", "--axis", "m", "--values", "16,24", "--trials", "2",
             "--k", "2", "--n", "32", "--seed", "9",
         )
+        cfg = tmp_path / "other.json"
+        cfg.write_text(json.dumps({"snr": 10, "preset": "sinu", "svg": True, "seed": 4}))
         run_cli(*args, "--out-prefix", str(tmp_path / "one"))
+        cfg_args = ("sweep", "--config", str(cfg), "--values", "16", "--trials", "1")
+        assert run_cli(*cfg_args, "--out-prefix", str(tmp_path / "cfg")) == EXIT_OK
+        assert (tmp_path / "cfg.svg").exists()
         run_cli(*args, "--out-prefix", str(tmp_path / "two"))
+        assert not (tmp_path / "two.svg").exists()
 
         def strip_time(path):
             return [",".join(l.split(",")[:-1]) for l in path.read_text().splitlines()]

@@ -73,7 +73,7 @@ class TestOrthonormalPairs:
     def test_grid_eval_matches_per_node_reference(self, phi, bracket):
         r = np.random.default_rng(44).normal(size=phi.m_rows)
         if bracket == (0.0, math.pi):
-            omegas, tables = estimator._full_band(phi)
+            omegas, tables, _ = estimator._full_band(phi)
         else:
             omegas = np.linspace(*bracket, phi.n_cols + 1)
             tables = estimator._orthonormal_pairs(estimator._measured_atoms(phi.entries, omegas))
@@ -123,8 +123,12 @@ class TestRoundTableCache:
         first = estimator._full_band_cache
         estimate_sinusoid(phi, r_other)
         assert estimator._full_band_cache is first
-        omegas, _ = first[1:]
+        omegas, _, stacked = first[1:]
         assert omegas.size == 33 and omegas[0] == 0.0 and omegas[-1] == math.pi
+        t = np.arange(1.0, 33.0)
+        np.testing.assert_array_equal(
+            stacked, np.concatenate((phi.entries, phi.entries * t, phi.entries * (t * t)))
+        )
         estimate_sinusoid(twin, r)
         assert estimator._full_band_cache[0] is twin
         assert estimator._full_band_cache is not first
@@ -153,15 +157,18 @@ class TestRoundTableCache:
         m = measure(phi, synthesize(truth))
         estimate_sinusoid(phi, m.values)
         full_band = estimator._full_band_cache
-        # every estimate of the recover reuses the entry, never rebuilding it
-        recover(phi, m, RecoveryConfig(k=3))
+        # every estimate and the polish of the recover reuse the entry,
+        # never rebuilding it
+        result = recover(phi, m, RecoveryConfig(k=3))
+        assert result.stop_reason == "polished"
         assert estimator._full_band_cache is full_band
 
     def test_cached_arrays_read_only(self):
         phi = gaussian_matrix(16, 32, seed=41)
         estimate_sinusoid(phi, np.random.default_rng(42).normal(size=16))
-        omegas, tables = estimator._full_band_cache[1:]
-        for a in (omegas, *tables):
+        omegas, tables, stacked = estimator._full_band_cache[1:]
+        assert stacked.shape == (3 * 16, 32)
+        for a in (omegas, *tables, stacked):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 0.0
@@ -315,10 +322,22 @@ class TestEstimateSinusoid:
         r = np.random.default_rng(303).normal(size=(200, 64))[160]
         out = estimate_sinusoid(phi, r)
         assert out.refinements_used <= 9
-        assert math.isfinite(estimator._s_derivatives(phi.entries, r, out.params.omega)[0])
+        stacked = estimator._full_band(phi)[2]
+        assert math.isfinite(estimator._s_derivatives(stacked, r, out.params.omega)[0])
         assert out.residual_sq <= out.best_s_history[0]
         a, b = out.bracket_history[-1]
         assert a <= out.params.omega <= b
+
+    @pytest.mark.parametrize("jitter_seed", [1, 2, 3, 4, 5])
+    def test_newton_point_past_band_end_is_mirrored(self, jitter_seed):
+        # s is even about omega = 0, so on the residual above the Newton
+        # point from 9e-7 targets 0 and lands on either side of it by
+        # rounding; mirrored into the band it ends the search the same way
+        # for residuals that differ only in the last digits
+        phi = gaussian_matrix(64, 128, seed=202)
+        r = np.random.default_rng(303).normal(size=(200, 64))[160]
+        r = r * (1.0 + 1e-15 * np.random.default_rng(jitter_seed).normal(size=64))
+        assert estimate_sinusoid(phi, r).refinements_used <= 9
 
     def test_zero_residual_rejected(self):
         phi = gaussian_matrix(8, 16, seed=21)
@@ -356,12 +375,53 @@ class TestSDerivatives:
 
         scale = float(r @ r)
         h = 1e-5
+        stacked = estimator._full_band(phi)[2]
         for w in (0.3, truth - 0.02, truth + 0.003, 2.9):
-            s, d1, d2 = estimator._s_derivatives(phi.entries, r, w)
+            s, d1, d2 = estimator._s_derivatives(stacked, r, w)
             lo, mid, hi = s_ref(w - h), s_ref(w), s_ref(w + h)
             assert s == pytest.approx(mid, rel=1e-10, abs=1e-14 * scale)
             assert d1 == pytest.approx((hi - lo) / (2 * h), rel=1e-5, abs=1e-6 * scale * 64)
             assert d2 == pytest.approx((hi - 2 * mid + lo) / h**2, rel=1e-5, abs=1e-5 * scale * 64**2)
+
+
+def six_column_s_derivatives(phi_entries, r, omega):
+    """s, s', s'' from Phi times the six t-weighted sin/cos columns and 2x2
+    arrays, and the size of the terms each sums: |s|, 2 ||e|| ||A'x|| and
+    2 (||A'x||^2 + ||e|| ||A''x|| + |c^T G^-1 c|)."""
+    t = np.arange(1, phi_entries.shape[1] + 1, dtype=float)
+    sin_w, cos_w = sinusoid_samples(omega, t.size)
+    cols = np.column_stack((sin_w, cos_w, t * cos_w, -t * sin_w, -t * t * sin_w, -t * t * cos_w))
+    a, da, d2a = np.hsplit(phi_entries @ cols, 3)
+    (g00, g01), (_, g11) = a.T @ a
+    g_inv = np.array([[g11, -g01], [-g01, g00]]) / (g00 * g11 - g01 * g01)
+    x = g_inv @ (a.T @ r)
+    e = r - a @ x
+    v = da @ x
+    w = d2a @ x
+    c = da.T @ e - a.T @ v
+    c_g_c = c @ g_inv @ c
+    norm_e, norm_v, norm_w = (np.linalg.norm(z) for z in (e, v, w))
+    values = (e @ e, -2.0 * (e @ v), 2.0 * (v @ v - e @ w - c_g_c))
+    sizes = (e @ e, 2.0 * norm_e * norm_v, 2.0 * (norm_v**2 + norm_e * norm_w + abs(c_g_c)))
+    return np.array(values), np.array(sizes)
+
+
+@pytest.mark.parametrize(
+    "phi", [gaussian_matrix(64, 128, seed=49), identity_phi(128)], ids=["gaussian", "identity"]
+)
+def test_stacked_s_derivatives_match_six_column_reference(phi):
+    # the cached operator's row slices give the same s, s', s'' as the
+    # six-column product at random residuals and frequencies.  s' and s''
+    # are sums of terms that cancel, so each is compared relative to the
+    # size of its terms: a near-zero s' differs by rounding in any order
+    rng = np.random.default_rng(50)
+    stacked = estimator._full_band(phi)[2]
+    for _ in range(200):
+        r = rng.normal(size=phi.m_rows)
+        w = float(rng.uniform(0.01, math.pi - 0.01))
+        got = np.array(estimator._s_derivatives(stacked, r, w))
+        ref, sizes = six_column_s_derivatives(phi.entries, r, w)
+        assert np.all(np.abs(got - ref) <= 1e-12 * sizes), (w, got, ref)
 
 
 class TestEstimatorConfigValidation:

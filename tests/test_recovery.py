@@ -14,6 +14,7 @@ from cstones.model import (
     draw_model,
     synthesize,
 )
+import cstones.estimator as estimator
 import cstones.recovery as recovery
 from cstones.recovery import RecoveryConfig, _admissible, _assemble_model, _polish, recover
 from cstones.sensing import SUBSAMPLING, Measurement, SensingMatrix, gaussian_matrix, measure
@@ -191,6 +192,22 @@ class TestPolish:
     def test_admissible_frequencies(self, omegas, ok):
         assert _admissible(np.array(omegas)) is ok
 
+    def test_jacobian_columns_from_cached_operator(self):
+        # D_k = dA/dw_k c from the operator's t-weighted rows equals Phi
+        # times the t-weighted derivative samples, at random w and c
+        phi = gaussian_matrix(64, 128, seed=51)
+        weighted = estimator._full_band(phi)[2][: 2 * phi.m_rows]
+        t = np.arange(1.0, 129.0)
+        rng = np.random.default_rng(52)
+        for _ in range(20):
+            omegas = np.sort(rng.uniform(0.01, math.pi - 0.01, size=3))
+            _, coef, d, _ = recovery._projected_fit(weighted, rng.normal(size=64), omegas)
+            c, s = coef[0::2], coef[1::2]
+            wt = np.multiply.outer(t, omegas)
+            ref = phi.entries @ (t[:, None] * (s * np.cos(wt) - c * np.sin(wt)))
+            err = np.linalg.norm(d - ref, axis=0) / np.linalg.norm(ref, axis=0)
+            assert np.all(err <= 1e-12), err
+
     def test_refuses_steps_out_of_band(self, monkeypatch):
         # from 0.0775 the first Gauss-Newton step for a tone at 0.002 lands
         # at -0.073; it must be refused, never fitted, and the damped steps
@@ -205,7 +222,7 @@ class TestPolish:
         monkeypatch.setattr(
             recovery, "_projected_fit", lambda p, m, w: fitted.append(w.copy()) or fit(p, m, w)
         )
-        omegas, _ = _polish(phi.entries, mv, np.array([0.0775]))
+        omegas, _ = _polish(estimator._full_band(phi)[2], mv, np.array([0.0775]))
         assert any(w[0] <= 0.0 for w in proposed)
         assert all(0.0 < w[0] < math.pi for w in fitted)
         assert abs(omegas[0] - 0.002) < 1e-9
