@@ -16,6 +16,7 @@ import math
 import numpy as np
 
 from .estimator import (
+    _dft_atoms,
     _inside_band,
     _measured_atoms,
     _orthonormal_pairs,
@@ -149,7 +150,8 @@ def bomp_recover(phi: SensingMatrix, m: Measurement, k: int) -> SignalModel:
 
     Candidate frequencies are the DFT grid oversampled 5 times, restricted
     to [0, pi]; each candidate contributes the measured (sin, cos) pair so
-    all arithmetic stays real.  After every selection the residual is
+    all arithmetic stays real, and the whole table is one real FFT of each
+    row of Phi zero-padded to 5N.  After every selection the residual is
     recomputed from a joint least-squares fit over all selected pairs, and
     every candidate within pi/N of a selected frequency is excluded.  Each
     pick excludes at most 5 of the 5N/2 + 1 candidates, so the grid always
@@ -171,7 +173,7 @@ def bomp_recover(phi: SensingMatrix, m: Measurement, k: int) -> SignalModel:
         return SignalModel(components=(), n_samples=n)
 
     cand = _candidate_frequencies(_BOMP_OVERSAMPLING, n)
-    w = _measured_atoms(phi.entries, cand)
+    w = _dft_atoms(phi.entries, _BOMP_OVERSAMPLING * n)  # w[:, i] is the pair at cand[i]
     q0, q1 = _orthonormal_pairs(w)
 
     allowed = np.ones(cand.size, dtype=bool)

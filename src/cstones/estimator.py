@@ -9,9 +9,17 @@ least-squares sense.  For a fixed frequency the optimal linear amplitudes
 
 solve a 2x2 normal system in closed form (``amplitude_ls``), leaving the
 attained error s(omega) a function of frequency alone.  One grid round over
-the N + 1 full-band nodes, scored through the measured-atom kernel and pair
-bases that the baselines share, picks the best node; a bracketed Newton
-iteration on s' then polishes it to a fixed bracket width, ``_FREQ_TOL``.
+the N + 1 full-band nodes picks the best node; a bracketed Newton iteration
+on s' then polishes it to a fixed bracket width, ``_FREQ_TOL``.
+
+Measured atoms for many frequencies come from one of two kernels.  A
+uniform DFT grid w_k = 2 pi k / L (the full band, L = 2N, and BOMP's
+oversampled grid) is one real FFT of each zero-padded row of Phi
+(``_dft_atoms``); arbitrary frequencies (the grid oracle's chunks, the
+polish fits, ``oracle_ls``) go through the factored phasor table and one
+GEMM (``_measured_atoms``).  Both feed the pair bases of
+``_orthonormal_pairs``, against which a residual is scored by its captured
+energy.
 """
 
 from __future__ import annotations
@@ -39,6 +47,10 @@ _MAX_NEWTON_STEPS = 60
 # Atom pairs whose Gram determinant is at most this times trace^2 are solved
 # rank-1 (omega at 0 or pi, where the sine column vanishes).
 _GRAM_DET_TOL = 1e-12
+# A grid node whose captured energy falls short of the best by more than
+# this times ||r||^2 cannot have the least error: the energy and the
+# error's direct form each carry rounding of a few eps * ||r||^2.
+_GAIN_ROUNDING = 1e-12
 
 
 @dataclass(frozen=True)
@@ -155,21 +167,38 @@ def _measured_atoms(phi_entries: np.ndarray, omegas) -> np.ndarray:
 
     The [..., 0] plane is Phi @ cos(w_k t) and the [..., 1] plane
     Phi @ sin(w_k t), from one real GEMM on the interleaved (cos, sin) view
-    of the phasor table.  This is the one path that builds measured
-    sinusoid atoms for many frequencies at once; ``build_atoms`` stays the
-    direct single-frequency reference it is tested against.
+    of the phasor table.  This is the path for arbitrary frequencies; a
+    uniform DFT grid is cheaper through ``_dft_atoms``.  ``build_atoms``
+    stays the direct single-frequency reference both are tested against.
     """
     phasors = _phasors(np.asarray(omegas, dtype=float), phi_entries.shape[1])
     w = phi_entries @ phasors.view(float)
     return w.reshape(phi_entries.shape[0], -1, 2)
 
 
+def _dft_atoms(phi_entries: np.ndarray, length: int) -> np.ndarray:
+    """Measured cos/sin atoms at w_k = 2 pi k / length, k = 0..length // 2
+    (M x (length // 2 + 1) x 2, planes as in ``_measured_atoms``).
+
+    Each row of Phi, zero-padded to ``length`` >= N + 1 columns with sample
+    t = 1..N at index t, has the DFT X_k = sum_t Phi[., t] exp(-i w_k t),
+    so conj(X_k) = Phi @ cos(w_k t) + i Phi @ sin(w_k t): one real FFT per
+    row (Cooley & Tukey 1965) gives the whole table in O(M L log L), and
+    the sine plane is exactly zero at w = 0 and, for even ``length``, at pi.
+    """
+    m, n = phi_entries.shape
+    padded = np.zeros((m, length))
+    padded[:, 1 : n + 1] = phi_entries
+    return np.conj(np.fft.rfft(padded, axis=1)).view(float).reshape(m, -1, 2)
+
+
 def _orthonormal_pairs(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal basis (q0, q1) of each measured (cos, sin) pair in ``w``.
 
-    ``w`` is M x C x 2 as from ``_measured_atoms``; q0 and q1 are M x C.
-    Regular pairs get Gram-Schmidt from the cosine column, so the captured
-    energy of a residual r is (q0 . r)^2 + (q1 . r)^2.  Degenerate pairs
+    ``w`` is M x C x 2 as from ``_measured_atoms`` or ``_dft_atoms``; q0
+    and q1 are M x C.  Regular pairs get Gram-Schmidt from the cosine
+    column, so the captured energy of a residual r is (q0 . r)^2 +
+    (q1 . r)^2.  Degenerate pairs
     (Gram determinant at most _GRAM_DET_TOL * trace^2, e.g. omega at 0 or
     pi where the sine column vanishes) keep only their dominant column,
     normalized, and a zero q1: the rank-1 fit of ``amplitude_ls``.  A zero
@@ -204,14 +233,16 @@ def _full_band(phi: SensingMatrix):
     """The N + 1 nodes over [0, pi], their orthonormal pair tables (q0, q1)
     and the 3M x N derivative operator [Phi; Phi T; Phi T^2], T = diag(1..N).
 
-    One product of the operator with sin/cos samples at a frequency gives
-    the measured pair and its t- and t^2-weighted versions, from which
-    ``_s_derivatives`` and the recovery polish read their derivatives.
+    The nodes are the bins of a 2N-point DFT, so their atoms come from
+    ``_dft_atoms``.  One product of the operator with sin/cos samples at a
+    frequency gives the measured pair and its t- and t^2-weighted versions,
+    from which ``_s_derivatives`` and the recovery polish read their
+    derivatives.
     """
     global _full_band_cache
     if _full_band_cache is None or _full_band_cache[0] is not phi:
         omegas = np.linspace(0.0, math.pi, phi.n_cols + 1)
-        q0, q1 = _orthonormal_pairs(_measured_atoms(phi.entries, omegas))
+        q0, q1 = _orthonormal_pairs(_dft_atoms(phi.entries, 2 * phi.n_cols))
         t = np.arange(1.0, phi.n_cols + 1.0)
         stacked = np.concatenate((phi.entries, phi.entries * t, phi.entries * (t * t)))
         for x in (omegas, q0, q1, stacked):
@@ -221,17 +252,31 @@ def _full_band(phi: SensingMatrix):
 
 
 def _grid_eval(tables, r):
-    """Least-squares squared error of ``r`` against every node's atom pair.
+    """Least-squares squared error of ``r`` at the grid round's contenders.
 
-    With each pair's orthonormal basis (q0, q1) the fit is the projection
-    q0 (q0 . r) + q1 (q1 . r).  The error is evaluated directly as
-    ||r - q0 (q0 . r) - q1 (q1 . r)||^2, not as ||r||^2 minus the captured
-    energy, so it keeps its relative precision at a node on a noiseless
-    tone, where it is many orders below ||r||^2.
+    With each pair's orthonormal basis (q0, q1) the fit captures the energy
+    (q0 . r)^2 + (q1 . r)^2 and leaves ||r||^2 minus it, so two GEMVs score
+    every node.  The nodes whose captured energy is within _GAIN_ROUNDING *
+    ||r||^2 of the best, and their neighbours, are rescored by the direct
+    form ||r - q0 (q0 . r) - q1 (q1 . r)||^2, which keeps its relative
+    precision at a node on a noiseless tone, where the error is many orders
+    below ||r||^2.  Returns every node's error, inf at the nodes not
+    rescored: those lose to the best by more than rounding.
     """
     q0, q1 = tables
-    res = r[:, None] - q0 * (q0.T @ r) - q1 * (q1.T @ r)
-    return np.einsum("ij,ij->j", res, res)
+    b0 = q0.T @ r
+    b1 = q1.T @ r
+    gain = np.square(b0)
+    gain += np.square(b1)
+    near = gain >= gain.max() - _GAIN_ROUNDING * float(r @ r)
+    rescore = near.copy()
+    rescore[1:] |= near[:-1]
+    rescore[:-1] |= near[1:]
+    nodes = np.flatnonzero(rescore)
+    res = r[:, None] - q0[:, nodes] * b0[nodes] - q1[:, nodes] * b1[nodes]
+    s = np.full(gain.size, math.inf)
+    s[nodes] = np.einsum("ij,ij->j", res, res)
+    return s
 
 
 def _s_derivatives(stacked: np.ndarray, r: np.ndarray, omega: float):

@@ -22,7 +22,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .baselines import bomp_recover, oracle_ls
 from .model import NoiseSpec, add_noise, draw_model, synthesize
@@ -180,16 +179,20 @@ def match_frequencies(truth, estimate) -> tuple[tuple[tuple[int, int], ...], tup
 
     Returns (pairs, errors) where pairs[(i, j)] matches truth[i] with
     estimate[j] and errors holds |truth[i] - estimate[j]| per pair, in
-    truth order.
+    truth order.  With cost |truth - estimate| on a line the sorted
+    (monotone) matching is optimal, so the k-th smallest truth is paired
+    with the k-th smallest estimate, ties kept in input order.
     """
     truth = np.asarray(truth, dtype=float)
     estimate = np.asarray(estimate, dtype=float)
     if truth.shape != estimate.shape or truth.ndim != 1:
         raise ValueError(f"count mismatch: {truth.shape} vs {estimate.shape}")
-    cost = np.abs(truth[:, None] - estimate[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    pairs = tuple((int(i), int(j)) for i, j in zip(rows, cols))
-    errors = tuple(float(cost[i, j]) for i, j in pairs)
+    if not (np.all(np.isfinite(truth)) and np.all(np.isfinite(estimate))):
+        raise ValueError("frequencies must be finite")
+    match = np.empty(truth.size, dtype=int)
+    match[np.argsort(truth, kind="stable")] = np.argsort(estimate, kind="stable")
+    pairs = tuple(enumerate(match.tolist()))
+    errors = tuple(np.abs(truth - estimate[match]).tolist())
     return pairs, errors
 
 

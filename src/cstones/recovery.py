@@ -126,8 +126,8 @@ def _assemble_model(params: list[SinusoidParams | None], n: int) -> SignalModel:
 
 def _admissible(omegas: np.ndarray) -> bool:
     """True when every frequency lies inside (0, pi) and no two are equal."""
-    inside = bool(np.all((omegas > 0.0) & (omegas < math.pi)))
-    return inside and np.unique(omegas).size == omegas.size
+    values = omegas.tolist()
+    return all(0.0 < w < math.pi for w in values) and len(set(values)) == len(values)
 
 
 def _projected_fit(weighted: np.ndarray, mv: np.ndarray, omegas: np.ndarray):

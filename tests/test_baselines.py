@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cstones import baselines
+from cstones import baselines, estimator
 from cstones.baselines import bomp_recover, grid_oracle_batch, oracle_ls
 from cstones.estimator import amplitude_ls, build_atoms, estimate_sinusoid
 from cstones.model import SignalModel, SinusoidParams, draw_model, sinusoid_samples, synthesize
@@ -26,6 +26,18 @@ class TestBompCandidateGrid:
         np.testing.assert_allclose(np.diff(cand), 2.0 * math.pi / (c * n), rtol=1e-12)
         assert cand[-1] <= math.pi
         assert cand[-1] + 2.0 * math.pi / (c * n) > math.pi
+
+    @pytest.mark.parametrize("n", [1, 7, 32, 128, 256])
+    def test_fft_table_rows_are_the_candidates(self, n):
+        # BOMP reads its table off one real FFT of length 5N: atom i must sit
+        # at cand[i], to the kernel test's bound
+        phi = gaussian_matrix(max(1, n // 2), n, seed=n)
+        cand = baselines._candidate_frequencies(5, n)
+        w = estimator._dft_atoms(phi.entries, 5 * n)
+        assert w.shape == (phi.m_rows, cand.size, 2)
+        ref = estimator._measured_atoms(phi.entries, cand)
+        scale = np.max(np.abs(phi.entries)) * n
+        assert np.max(np.abs(w - ref)) <= 1e-12 * scale
 
 
 class TestRedundantDftFrame:

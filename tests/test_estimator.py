@@ -16,7 +16,13 @@ from cstones.estimator import (
 )
 from cstones.model import SignalModel, SinusoidParams, draw_model, sinusoid_samples, synthesize
 from cstones.recovery import RecoveryConfig, RecoveryResult, recover
-from cstones.sensing import SUBSAMPLING, SensingMatrix, gaussian_matrix, measure
+from cstones.sensing import (
+    SUBSAMPLING,
+    SensingMatrix,
+    gaussian_matrix,
+    measure,
+    subsampling_matrix,
+)
 
 
 def identity_phi(n):
@@ -63,6 +69,36 @@ class TestMeasuredAtomsKernel:
             assert err <= 1e-12 * scale, (n, bracket, k, err)
 
 
+class TestDftAtoms:
+    """The real-FFT table of a uniform DFT grid against the direct reference."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 128, 256])
+    @pytest.mark.parametrize("factor", [2, 5])
+    def test_matches_direct_sinusoid_samples(self, n, factor):
+        phi = gaussian_matrix(max(1, n // 2), n, seed=n)
+        length = factor * n
+        atoms = estimator._dft_atoms(phi.entries, length)
+        assert atoms.shape == (phi.m_rows, length // 2 + 1, 2)
+        scale = np.max(np.abs(phi.entries)) * n
+        for k in range(length // 2 + 1):
+            sin_w, cos_w = sinusoid_samples(2.0 * math.pi * k / length, n)
+            ref = np.stack((phi.entries @ cos_w, phi.entries @ sin_w), axis=-1)
+            err = np.max(np.abs(atoms[:, k, :] - ref))
+            assert err <= 1e-12 * scale, (n, length, k, err)
+        # the sine plane vanishes exactly at 0 and, for an even length, at pi
+        assert np.all(atoms[:, 0, 1] == 0.0)
+        if length % 2 == 0:
+            assert np.all(atoms[:, -1, 1] == 0.0)
+
+    def test_full_band_nodes_are_the_2n_point_bins(self):
+        phi = gaussian_matrix(32, 64, seed=47)
+        omegas, (q0, q1), _ = estimator._full_band(phi)
+        np.testing.assert_allclose(omegas, np.pi * np.arange(65) / 64, rtol=0.0, atol=1e-15)
+        ref0, ref1 = estimator._orthonormal_pairs(estimator._measured_atoms(phi.entries, omegas))
+        np.testing.assert_allclose(q0, ref0, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(q1, ref1, rtol=0.0, atol=1e-12)
+
+
 class TestOrthonormalPairs:
     """The one pair basis the estimator rounds, the grid oracle and BOMP score against."""
 
@@ -79,7 +115,37 @@ class TestOrthonormalPairs:
             tables = estimator._orthonormal_pairs(estimator._measured_atoms(phi.entries, omegas))
         s = estimator._grid_eval(tables, r)
         ref = np.array([amplitude_ls(build_atoms(phi, float(w)), r)[2] for w in omegas])
-        np.testing.assert_allclose(s, ref, rtol=1e-9, atol=1e-12 * float(r @ r))
+        scored = np.isfinite(s)
+        np.testing.assert_allclose(s[scored], ref[scored], rtol=1e-9, atol=1e-12 * float(r @ r))
+        # the best node and both neighbours are rescored; every other node loses
+        j = int(np.argmin(s))
+        assert j == int(np.argmin(ref))
+        assert scored[max(j - 1, 0)] and scored[min(j + 1, s.size - 1)]
+        assert np.all(ref[~scored] > ref[j])
+
+    @pytest.mark.parametrize(
+        "phi",
+        [gaussian_matrix(64, 128, seed=48), subsampling_matrix(64, 256, seed=49), identity_phi(32)],
+        ids=["gaussian", "subsampling", "identity"],
+    )
+    def test_grid_round_picks_direct_form_argmin(self, phi):
+        # the captured-energy round must pick the node a direct-form scan of
+        # every node picks, on random residuals and on noiseless tones both
+        # off the grid and on it, where s is near zero at the node
+        omegas, tables, _ = estimator._full_band(phi)
+        q0, q1 = tables
+        rng = np.random.default_rng(50)
+        residuals = list(rng.normal(size=(40, phi.m_rows)))
+        tones = np.concatenate((rng.uniform(0.0, math.pi, 40), omegas[1:-1:5]))
+        residuals += [build_atoms(phi, float(w)) @ rng.normal(size=2) for w in tones]
+        for r in residuals:
+            full = r[:, None] - q0 * (q0.T @ r) - q1 * (q1.T @ r)
+            direct = np.einsum("ij,ij->j", full, full)
+            s = estimator._grid_eval(tables, r)
+            j = int(np.argmin(s))
+            assert j == int(np.argmin(direct))
+            for node in (max(j - 1, 0), j, min(j + 1, s.size - 1)):
+                assert s[node] == pytest.approx(direct[node], rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize(
         "phi", [gaussian_matrix(32, 64, seed=45), identity_phi(64)], ids=["gaussian", "identity"]

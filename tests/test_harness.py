@@ -59,10 +59,22 @@ class TestMatchFrequencies:
 
     def test_matches_brute_force_over_permutations(self):
         rng = np.random.default_rng(1)
-        for _ in range(20):
-            truth = rng.uniform(0.1, 3.0, size=3)
-            estimate = rng.uniform(0.1, 3.0, size=3)
-            _, errors = match_frequencies(truth, estimate)
+        cases = [rng.uniform(0.1, 3.0, size=(2, 3)) for _ in range(20)]
+        # ties: every estimate on one side of every truth (each pairing then
+        # costs the same), and repeated values on either side
+        cases += [
+            ([2.0, 2.5, 3.0], [0.1, 0.7, 0.4]),
+            ([0.1, 0.2, 0.3], [2.9, 1.5, 2.2]),
+            ([1.0, 1.0, 2.0], [1.5, 0.5, 1.0]),
+            ([0.5, 2.5, 1.5], [1.2, 1.2, 1.2]),
+            ([0.9, 0.9, 0.9], [0.9, 0.3, 0.9]),
+        ]
+        for truth, estimate in cases:
+            truth, estimate = np.asarray(truth), np.asarray(estimate)
+            pairs, errors = match_frequencies(truth, estimate)
+            assert [i for i, _ in pairs] == [0, 1, 2]
+            assert sorted(j for _, j in pairs) == [0, 1, 2]
+            assert errors == tuple(abs(truth[i] - estimate[j]) for i, j in pairs)
             brute = min(
                 sum(abs(t - estimate[j]) for t, j in zip(truth, perm))
                 for perm in itertools.permutations(range(3))
@@ -72,6 +84,11 @@ class TestMatchFrequencies:
     def test_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
             match_frequencies([0.5], [0.5, 1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError):
+            match_frequencies([0.5, 1.0], [bad, 1.0])
 
 
 def small_spec(**overrides):

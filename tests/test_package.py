@@ -29,6 +29,22 @@ def test_all_names_resolve(name):
     assert not missing, f"{name}.__all__ lists undefined names {missing}"
 
 
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy costs ~0.6 s and ~47 MB per process; no module needs it
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    code = (
+        "import sys, cstones.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"
+
+
 def test_four_demos_found():
     assert len(DEMOS) == 4
 
