@@ -189,7 +189,9 @@ def _dft_atoms(phi_entries: np.ndarray, length: int) -> np.ndarray:
     m, n = phi_entries.shape
     padded = np.zeros((m, length))
     padded[:, 1 : n + 1] = phi_entries
-    return np.conj(np.fft.rfft(padded, axis=1)).view(float).reshape(m, -1, 2)
+    spectrum = np.fft.rfft(padded, axis=1)
+    np.negative(spectrum.imag, out=spectrum.imag)  # conj without a second table
+    return spectrum.view(float).reshape(m, -1, 2)
 
 
 def _orthonormal_pairs(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -321,14 +323,20 @@ def _s_derivatives(stacked: np.ndarray, r: np.ndarray, omega: float):
     return float(e @ e), -2.0 * e_dv, 2.0 * (float(v @ v) - e_d2v - c_g_c)
 
 
-def estimate_sinusoid(phi: SensingMatrix, r: np.ndarray) -> EstimateOutcome:
+def estimate_sinusoid(
+    phi: SensingMatrix, r: np.ndarray, *, newton_steps: int | None = None
+) -> EstimateOutcome:
     """Estimate the sinusoid that best explains the residual measurement ``r``.
 
     ``r`` has length M and must be nonzero.  One grid round takes the best
     full-band node j (lowest index on ties); Newton steps on s' then polish
     it inside [omega_(j-1), omega_(j+1)] until the bracket is narrower than
     _FREQ_TOL, starting mid-bracket when j is a band end, whose pair is
-    degenerate.  Each evaluated point replaces the bracket end whose s'
+    degenerate.  A positive integer ``newton_steps`` stops the polish
+    after that many evaluations of s' instead; the final bracket is then
+    wider than _FREQ_TOL and need not contract by the grid's factor, so
+    both of those guarantees (criterion 3) hold only for the default,
+    ``None``.  Each evaluated point replaces the bracket end whose s'
     sign it shares.  s is even about each band end, so a Newton point past
     0 or pi is mirrored back into the band; a step that then leaves the
     bracket or meets s'' <= 0 bisects, and one shorter than _FREQ_TOL / 2
@@ -348,6 +356,10 @@ def estimate_sinusoid(phi: SensingMatrix, r: np.ndarray) -> EstimateOutcome:
     n = phi.n_cols
     if n < 2:
         raise ValueError(f"the frequency grid needs N >= 2 columns, got N={n}")
+    if newton_steps is None:
+        newton_steps = _MAX_NEWTON_STEPS
+    elif not (isinstance(newton_steps, int) and newton_steps >= 1):
+        raise ValueError(f"newton_steps must be a positive integer or None, got {newton_steps!r}")
 
     omegas, tables, stacked = _full_band(phi)
     s = _grid_eval(tables, r)
@@ -357,7 +369,7 @@ def estimate_sinusoid(phi: SensingMatrix, r: np.ndarray) -> EstimateOutcome:
     brackets = [(0.0, math.pi), (a, b)]
     s_history = [float(s[j])]
     x = omega = float(omegas[j]) if 0 < j < n else 0.5 * (a + b)
-    while b - a >= _FREQ_TOL and len(s_history) <= _MAX_NEWTON_STEPS:
+    while b - a >= _FREQ_TOL and len(s_history) <= newton_steps:
         s_x, d1, d2 = _s_derivatives(stacked, r, x)
         s_history.append(min(s_history[-1], s_x))
         if s_x == math.inf:  # a degenerate pair has no s' to bracket by

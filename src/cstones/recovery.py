@@ -15,11 +15,13 @@ sweeps, or earlier once the residual norm stops changing (relative to
 ||m||).
 
 Cyclic descent converges only linearly, so the warm-up merely lands every
-slot in its basin.  The polish then minimizes ||m - A(w) c|| over all K
-frequencies w at once, with the 2K linear amplitudes c projected out by
-least squares (variable projection, Golub & Pereyra 1973), by
-Levenberg-Marquardt steps on Kaufman's Jacobian.  It is kept only if it
-lowers the measurement residual.
+slot in its basin, and with K > 1 each of its estimates stops after three
+Newton steps (as Newtonized OMP does before its joint refinement:
+Mamandipoor, Ramasamy & Madhow 2016).  The polish then minimizes
+||m - A(w) c|| over all K frequencies w at once, with the 2K linear
+amplitudes c projected out by least squares (variable projection, Golub &
+Pereyra 1973), by Levenberg-Marquardt steps on Kaufman's Jacobian.  It is
+kept only if it lowers the measurement residual.
 """
 
 from __future__ import annotations
@@ -44,6 +46,10 @@ __all__ = [
 # Warm-up sweeps halt once the residual norm changes by less than this
 # times ||m||.
 _RESIDUAL_REL_TOL = 1e-10
+# With k > 1 each warm-up estimate stops after this many evaluations of s':
+# the warm-up only has to land every slot in its basin, and the joint
+# polish then sets every frequency to machine precision.
+_WARMUP_NEWTON_STEPS = 3
 # The polish ends once a trial step moves no frequency by more than this,
 # or after this many trial steps.
 _POLISH_STEP_TOL = 1e-12
@@ -194,12 +200,15 @@ def recover(
 
     Deterministic for fixed inputs.  Emits a warning (and still runs) when
     3k exceeds the measurement count, i.e. more parameters than equations.
-    A zero measurement returns the all-zero model immediately; the joint
-    polish is skipped when the warm-up leaves a slot empty or fits ``m``
-    exactly.  Scaling
-    ``m`` by a power of two scales the amplitudes, the signal and the
-    residual norms by it and changes nothing else, bit for bit, as long as
-    no result overflows or turns subnormal.
+    With k > 1 every warm-up estimate stops after _WARMUP_NEWTON_STEPS
+    evaluations of s' and the joint polish owns the precision; with k = 1
+    the residual never changes, so the one warm-up estimate runs to the
+    estimator's _FREQ_TOL bracket.  A zero measurement returns the
+    all-zero model immediately; the joint polish is skipped when the
+    warm-up leaves a slot empty or fits ``m`` exactly.  Scaling ``m`` by
+    a power of two scales the amplitudes, the signal and the residual
+    norms by it and changes nothing else, bit for bit, as long as no
+    result overflows or turns subnormal.
     """
     if len(m.values) != phi.m_rows:
         raise ValueError(f"measurement length {len(m.values)} != matrix m={phi.m_rows}")
@@ -234,6 +243,7 @@ def recover(
     measured = [np.zeros(phi.m_rows) for _ in range(k)]
     sweep_norms: list[float] = []
     stop_reason = "sweep_cap"
+    newton_steps = _WARMUP_NEWTON_STEPS if k > 1 else None
 
     for _sweep in range(cfg.max_sweeps):
         for i in range(k):
@@ -242,7 +252,7 @@ def recover(
                 params[i] = None
                 measured[i] = np.zeros(phi.m_rows)
                 continue
-            outcome = estimate_sinusoid(phi, r)
+            outcome = estimate_sinusoid(phi, r, newton_steps=newton_steps)
             cand_measured = phi.entries @ component_samples(outcome.params, n)
             old_sq = float(np.sum((r - measured[i]) ** 2))
             new_sq = float(np.sum((r - cand_measured) ** 2))

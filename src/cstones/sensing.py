@@ -92,13 +92,13 @@ class Measurement:
 
 def _check_subsampling_rows(entries: np.ndarray) -> None:
     """Each row must be a standard basis vector, all rows distinct."""
-    selected = []
-    for i, row in enumerate(entries):
-        nz = np.nonzero(row)[0]
-        if nz.size != 1 or row[nz[0]] != 1.0:
-            raise ValueError(f"subsampling row {i} is not a standard basis vector")
-        selected.append(int(nz[0]))
-    if len(set(selected)) != len(selected):
+    nonzero = entries != 0.0
+    selected = np.argmax(nonzero, axis=1)
+    bad = np.count_nonzero(nonzero, axis=1) != 1
+    bad |= entries[np.arange(entries.shape[0]), selected] != 1.0
+    if bad.any():
+        raise ValueError(f"subsampling row {int(np.argmax(bad))} is not a standard basis vector")
+    if np.unique(selected).size != selected.size:
         raise ValueError("subsampling rows must select distinct samples")
 
 

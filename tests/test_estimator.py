@@ -206,12 +206,17 @@ class TestRoundTableCache:
         monkeypatch.setattr(estimator, "_full_band_cache", None)
         warm = recover(phi, m, RecoveryConfig(k=3))
 
+        budgets = []
+
         def cold_estimate(*args, **kwargs):
             estimator._full_band_cache = None
+            budgets.append(kwargs.get("newton_steps"))
             return estimate_sinusoid(*args, **kwargs)
 
         monkeypatch.setattr(recovery, "estimate_sinusoid", cold_estimate)
         cold = recover(phi, m, RecoveryConfig(k=3))
+        # every warm-up visit went through the wrapper, with its step budget
+        assert budgets == [recovery._WARMUP_NEWTON_STEPS] * (3 * cold.sweeps_used)
         for f in dataclasses.fields(RecoveryResult):
             if f.name != "signal":
                 assert getattr(warm, f.name) == getattr(cold, f.name), f.name
@@ -404,6 +409,39 @@ class TestEstimateSinusoid:
         r = np.random.default_rng(303).normal(size=(200, 64))[160]
         r = r * (1.0 + 1e-15 * np.random.default_rng(jitter_seed).normal(size=64))
         assert estimate_sinusoid(phi, r).refinements_used <= 9
+
+    @pytest.mark.parametrize("steps", [1, 2, 3])
+    def test_newton_step_budget(self, steps):
+        phi = gaussian_matrix(48, 96, seed=22)
+        rng = np.random.default_rng(23)
+        tone = SignalModel((SinusoidParams(1.234567, 1.0, 0.3),), 96)
+        residuals = [measure(phi, synthesize(tone)).values] + list(rng.normal(size=(10, 48)))
+        cut_short = 0
+        for r in residuals:
+            out = estimate_sinusoid(phi, r, newton_steps=steps)
+            assert out.refinements_used <= 1 + steps
+            a, b = out.bracket_history[-1]
+            assert a <= out.params.omega <= b
+            _, _, s = amplitude_ls(build_atoms(phi, out.params.omega), r)
+            assert out.residual_sq == s
+            assert out.residual_sq <= out.best_s_history[0]
+            full = estimate_sinusoid(phi, r)
+            if full.refinements_used > 1 + steps:
+                cut_short += 1
+                assert out.refinements_used == 1 + steps
+                assert out.best_s_history == full.best_s_history[: 1 + steps]
+        assert cut_short >= 5  # the budget, not the bracket width, ended most searches
+
+    @pytest.mark.parametrize("steps", [0, -1, 2.5])
+    def test_bad_newton_step_budget_rejected(self, steps):
+        phi = gaussian_matrix(8, 16, seed=24)
+        with pytest.raises(ValueError, match="newton_steps"):
+            estimate_sinusoid(phi, np.ones(8), newton_steps=steps)
+
+    def test_explicit_none_is_the_default(self):
+        phi = gaussian_matrix(40, 80, seed=25)
+        for r in np.random.default_rng(26).normal(size=(5, 40)):
+            assert estimate_sinusoid(phi, r, newton_steps=None) == estimate_sinusoid(phi, r)
 
     def test_zero_residual_rejected(self):
         phi = gaussian_matrix(8, 16, seed=21)

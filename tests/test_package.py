@@ -1,13 +1,16 @@
 """Package-level checks: the public surface resolves and the demos run."""
 
+import csv
 import importlib
 import json
 import os
 import pkgutil
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cstones
@@ -51,13 +54,45 @@ def test_four_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
+    proc = _run_demo(demo)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def _run_demo(path):
     env = dict(os.environ)
     src = str(ROOT / "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
-    proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
+    return subprocess.run(
+        [sys.executable, str(path)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
     )
+
+
+def test_committed_demo_csvs_match_a_rerun(tmp_path):
+    # demo 05 writes next to itself, so a copy of it writes into tmp_path
+    demo = shutil.copy(ROOT / "demos" / "05_experiment_sweep.py", tmp_path)
+    proc = _run_demo(demo)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    committed_files = sorted((ROOT / "demos" / "output").glob("*.csv"))
+    assert [p.name for p in committed_files] == ["error_vs_m.csv", "error_vs_snr.csv"]
+    for committed_path in committed_files:
+        with open(committed_path, newline="") as f:
+            committed = list(csv.DictReader(f))
+        with open(tmp_path / "output" / committed_path.name, newline="") as f:
+            rerun = list(csv.DictReader(f))
+        assert len(rerun) == len(committed), committed_path.name
+        assert list(rerun[0]) == list(committed[0]), committed_path.name
+        for column in committed[0]:
+            if column == "time_s":
+                continue
+            old = [row[column] for row in committed]
+            new = [row[column] for row in rerun]
+            if column in ("method", "error"):
+                assert new == old, (committed_path.name, column)
+            else:
+                np.testing.assert_allclose(
+                    np.array(new, dtype=float), np.array(old, dtype=float),
+                    rtol=1e-9, atol=1e-12, err_msg=f"{committed_path.name} {column}",
+                )
 
 
 def test_two_committed_summaries_found():

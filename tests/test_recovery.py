@@ -33,6 +33,24 @@ class TestRecover:
         direct = estimate_sinusoid(phi, m.values)
         assert result.model.components[0] == direct.params
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_warm_up_step_budget(self, monkeypatch, k):
+        # with k > 1 every warm-up visit stops after the step budget; with
+        # k = 1 the one residual never changes, so no budget is passed
+        truth = draw_model(k, 128, math.pi / 128, "freq", seed=17)
+        phi = gaussian_matrix(64, 128, seed=18)
+        m = measure(phi, synthesize(truth))
+        budgets = []
+
+        def traced(*args, **kwargs):
+            budgets.append(kwargs.get("newton_steps"))
+            return estimate_sinusoid(*args, **kwargs)
+
+        monkeypatch.setattr(recovery, "estimate_sinusoid", traced)
+        result = recover(phi, m, RecoveryConfig(k=k))
+        expected = recovery._WARMUP_NEWTON_STEPS if k > 1 else None
+        assert budgets == [expected] * (k * result.sweeps_used)
+
     def test_identity_matrix_two_tones(self):
         phi = identity_phi(128)
         model = SignalModel(

@@ -72,8 +72,54 @@ class TestSubsamplingMatrix:
         bad = np.zeros((2, 4))
         bad[0, 0] = 1.0
         bad[1, 0] = 1.0  # duplicate selection
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^subsampling rows must select distinct samples$"):
             SensingMatrix(entries=bad, kind=SUBSAMPLING, seed=0)
+
+    @pytest.mark.parametrize(
+        "row,value",
+        [(2, [1.0, 0.0, 0.0, 1.0, 0.0]), (1, [0.0, 2.0, 0.0, 0.0, 0.0]), (3, [0.0] * 5)],
+        ids=["two-nonzeros", "holds-2.0", "all-zero"],
+    )
+    def test_first_bad_row_named(self, row, value):
+        entries = subsampling_matrix(4, 5, seed=6).entries.copy()
+        entries[row] = value
+        if row < 3:  # a later bad row must not be the one named
+            entries[3] = 0.0
+        message = rf"^subsampling row {row} is not a standard basis vector$"
+        with pytest.raises(ValueError, match=message):
+            SensingMatrix(entries=entries, kind=SUBSAMPLING, seed=0)
+
+    def test_check_matches_row_loop_reference(self):
+        rng = np.random.default_rng(8)
+        verdicts = set()
+        for trial in range(300):
+            entries = subsampling_matrix(6, 9, seed=trial).entries.copy()
+            for _ in range(rng.integers(0, 3)):
+                entries[rng.integers(6), rng.integers(9)] = rng.choice([0.0, 1.0, 2.0, -1.0])
+            if rng.random() < 0.3:
+                entries[rng.integers(6)] = entries[rng.integers(6)]
+            expected = _row_loop_verdict(entries)
+            verdicts.add(expected)
+            if expected is None:
+                SensingMatrix(entries=entries, kind=SUBSAMPLING, seed=0)
+            else:
+                with pytest.raises(ValueError) as info:
+                    SensingMatrix(entries=entries, kind=SUBSAMPLING, seed=0)
+                assert str(info.value) == expected
+        assert len(verdicts) >= 5  # valid, distinctness and several named rows
+
+
+def _row_loop_verdict(entries):
+    """The error the row-by-row subsampling check raises, or None."""
+    selected = []
+    for i, row in enumerate(entries):
+        nz = np.nonzero(row)[0]
+        if nz.size != 1 or row[nz[0]] != 1.0:
+            return f"subsampling row {i} is not a standard basis vector"
+        selected.append(int(nz[0]))
+    if len(set(selected)) != len(selected):
+        return "subsampling rows must select distinct samples"
+    return None
 
 
 class TestMeasure:
