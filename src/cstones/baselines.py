@@ -17,13 +17,13 @@ import numpy as np
 
 from .estimator import (
     _dft_atoms,
-    _inside_band,
     _measured_atoms,
     _orthonormal_pairs,
+    _params_from_coef,
     amplitude_ls,
     build_atoms,
 )
-from .model import SignalModel, SinusoidParams
+from .model import SignalModel
 from .sensing import Measurement, SensingMatrix
 
 __all__ = [
@@ -38,17 +38,6 @@ _SCAN_CHUNK = 512
 
 # BOMP's candidate grid oversamples the N-point DFT grid this many times.
 _BOMP_OVERSAMPLING = 5
-
-
-def _params_from_coef(frequencies, coef) -> tuple[SinusoidParams, ...]:
-    """Components from coefficients ordered (cos_1, sin_1, cos_2, sin_2, ...)."""
-    comps = []
-    for idx, w in enumerate(frequencies):
-        w = _inside_band(float(w))
-        a1 = float(coef[2 * idx + 1])  # sine coefficient
-        a2 = float(coef[2 * idx])  # cosine coefficient
-        comps.append(SinusoidParams.from_linear(w, a1, a2))
-    return tuple(comps)
 
 
 def oracle_ls(phi: SensingMatrix, m: Measurement, true_frequencies) -> SignalModel:
@@ -136,13 +125,14 @@ def grid_oracle_batch(
 
 
 def _candidate_frequencies(oversampling: int, n: int) -> np.ndarray:
-    """The oversampled DFT grid w_i = i * 2*pi/(cN), i < cN, restricted to [0, pi].
+    """The oversampled DFT grid w_i = i * 2*pi/(cN) restricted to [0, pi]:
+    the ``_dft_atoms`` bins i = 0..cN // 2.
 
     For real signals the atom pair at w and 2*pi - w spans the same
     subspace, so grid frequencies above pi are redundant.
     """
-    freqs = np.arange(oversampling * n) * (2.0 * math.pi / (oversampling * n))
-    return freqs[freqs <= math.pi + 1e-12]
+    length = oversampling * n
+    return np.arange(length // 2 + 1) * (2.0 * math.pi / length)
 
 
 def bomp_recover(phi: SensingMatrix, m: Measurement, k: int) -> SignalModel:

@@ -170,7 +170,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    """Time each method at a single operating point and print mean and median seconds."""
+    """Time each method at a single operating point and print its sweep summary cell."""
     spec = ExperimentSpec(
         sweep_axis="m",
         sweep_values=(float(args.m),),
@@ -185,16 +185,7 @@ def cmd_bench(args) -> int:
     )
     result = run_experiment(spec, workers=args.threads)
     cell = next(iter(result.summary.values()))
-    table = {
-        meth: {
-            "mean_time_s": stats["mean_time_s"],
-            "median_time_s": stats["median_time_s"],
-            "mean_error": stats["mean_error"],
-            "trials": stats["trials"],
-        }
-        for meth, stats in cell.items()
-    }
-    print(json.dumps(table, indent=2, sort_keys=True))
+    print(json.dumps(cell, indent=2, sort_keys=True))
     return EXIT_OK
 
 

@@ -24,6 +24,7 @@ energy.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -176,6 +177,14 @@ def _measured_atoms(phi_entries: np.ndarray, omegas) -> np.ndarray:
     return w.reshape(phi_entries.shape[0], -1, 2)
 
 
+def _params_from_coef(frequencies, coef) -> tuple[SinusoidParams, ...]:
+    """Components from fit coefficients ordered (cos_1, sin_1, cos_2, sin_2, ...)."""
+    return tuple(
+        SinusoidParams.from_linear(_inside_band(float(w)), float(s), float(c))
+        for w, c, s in zip(frequencies, coef[0::2], coef[1::2])
+    )
+
+
 def _dft_atoms(phi_entries: np.ndarray, length: int) -> np.ndarray:
     """Measured cos/sin atoms at w_k = 2 pi k / length, k = 0..length // 2
     (M x (length // 2 + 1) x 2, planes as in ``_measured_atoms``).
@@ -226,11 +235,7 @@ def _orthonormal_pairs(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q0, q1
 
 
-# The most recent matrix, held so an identity match is never a recycled id,
-# with its read-only full-band table and derivative operator.
-_full_band_cache = None
-
-
+@functools.lru_cache(maxsize=1)
 def _full_band(phi: SensingMatrix):
     """The N + 1 nodes over [0, pi], their orthonormal pair tables (q0, q1)
     and the 3M x N derivative operator [Phi; Phi T; Phi T^2], T = diag(1..N).
@@ -239,18 +244,16 @@ def _full_band(phi: SensingMatrix):
     ``_dft_atoms``.  One product of the operator with sin/cos samples at a
     frequency gives the measured pair and its t- and t^2-weighted versions,
     from which ``_s_derivatives`` and the recovery polish read their
-    derivatives.
+    derivatives.  Cached for the most recent matrix, which hashes by
+    identity and is held, so a hit is never a recycled id.
     """
-    global _full_band_cache
-    if _full_band_cache is None or _full_band_cache[0] is not phi:
-        omegas = np.linspace(0.0, math.pi, phi.n_cols + 1)
-        q0, q1 = _orthonormal_pairs(_dft_atoms(phi.entries, 2 * phi.n_cols))
-        t = np.arange(1.0, phi.n_cols + 1.0)
-        stacked = np.concatenate((phi.entries, phi.entries * t, phi.entries * (t * t)))
-        for x in (omegas, q0, q1, stacked):
-            x.flags.writeable = False
-        _full_band_cache = (phi, omegas, (q0, q1), stacked)
-    return _full_band_cache[1:]
+    omegas = np.linspace(0.0, math.pi, phi.n_cols + 1)
+    q0, q1 = _orthonormal_pairs(_dft_atoms(phi.entries, 2 * phi.n_cols))
+    t = np.arange(1.0, phi.n_cols + 1.0)
+    stacked = np.concatenate((phi.entries, phi.entries * t, phi.entries * (t * t)))
+    for x in (omegas, q0, q1, stacked):
+        x.flags.writeable = False
+    return omegas, (q0, q1), stacked
 
 
 def _grid_eval(tables, r):
@@ -358,7 +361,7 @@ def estimate_sinusoid(
         raise ValueError(f"the frequency grid needs N >= 2 columns, got N={n}")
     if newton_steps is None:
         newton_steps = _MAX_NEWTON_STEPS
-    elif not (isinstance(newton_steps, int) and newton_steps >= 1):
+    elif not (type(newton_steps) is int and newton_steps >= 1):  # refuses bool, an int subclass
         raise ValueError(f"newton_steps must be a positive integer or None, got {newton_steps!r}")
 
     omegas, tables, stacked = _full_band(phi)

@@ -19,7 +19,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -66,7 +66,9 @@ class ExperimentSpec:
     ``sweep_axis`` is "m" (vary measurement count, fixed SNR) or "snr"
     (vary SNR in dB, fixed measurement count).  ``fixed_snr_db`` of None
     means noiseless.  Sweep values must be sorted ascending.  The "mds"
-    method recovers ``k`` components with ``RecoveryConfig(k)``.
+    method recovers ``k`` components with ``RecoveryConfig(k)``.  A spec
+    that no trial can run is rejected: 2k > n, or a measurement count (the
+    sweep values on the "m" axis, ``fixed_m`` on "snr") outside 1..n.
     """
 
     sweep_axis: str
@@ -99,26 +101,24 @@ class ExperimentSpec:
         if self.matrix_kind not in (GAUSSIAN, SUBSAMPLING):
             raise ValueError(f"unknown matrix kind {self.matrix_kind!r}")
         RecoveryConfig(self.k)  # raises on an invalid k
+        if 2 * self.k > self.n:
+            raise ValueError(f"need 2k <= n for an identifiable model, got k={self.k}, n={self.n}")
+        for m in self.sweep_values if self.sweep_axis == AXIS_M else (self.fixed_m,):
+            if not 1 <= int(m) <= self.n:
+                raise ValueError(f"measurement count {m} is outside 1..n={self.n}")
 
     @property
     def resolved_min_sep(self) -> float:
         return self.min_sep if self.min_sep is not None else math.pi / self.n
 
     def to_dict(self) -> dict:
-        return {
-            "sweep_axis": self.sweep_axis,
-            "sweep_values": list(self.sweep_values),
-            "n": self.n,
-            "k": self.k,
-            "preset": self.preset,
-            "matrix_kind": self.matrix_kind,
-            "fixed_m": self.fixed_m,
-            "fixed_snr_db": self.fixed_snr_db,
-            "trials": self.trials,
-            "base_seed": self.base_seed,
-            "methods": list(self.methods),
-            "min_sep": self.resolved_min_sep,
+        """Every field, tuples as lists, with ``min_sep`` resolved."""
+        record = {
+            key: list(value) if isinstance(value, tuple) else value
+            for key, value in asdict(self).items()
         }
+        record["min_sep"] = self.resolved_min_sep
+        return record
 
 
 @dataclass(frozen=True)
@@ -278,33 +278,23 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     else:
         cell_rows = [_run_cell(spec, v, t) for v, t in tasks]
 
-    by_key = {}
-    for (v, t), rows in zip(tasks, cell_rows):
-        for row in rows:
-            by_key[(v, row.method, t)] = row
-    ordered = tuple(
-        by_key[(v, meth, t)]
-        for v in spec.sweep_values
-        for meth in spec.methods
-        for t in range(spec.trials)
+    ordered = sorted(
+        itertools.chain.from_iterable(cell_rows),
+        key=lambda r: (r.sweep_value, spec.methods.index(r.method), r.trial),
     )
-
     summary = {}
-    for v in spec.sweep_values:
-        cell = {}
-        for meth in spec.methods:
-            method_rows = [r for r in ordered if r.sweep_value == v and r.method == meth]
-            errs = [r.nl2_error for r in method_rows]
-            times = [r.time_s for r in method_rows]
-            cell[meth] = {
-                "mean_error": float(np.mean(errs)),
-                "median_error": float(np.median(errs)),
-                "mean_time_s": float(np.mean(times)),
-                "median_time_s": float(np.median(times)),
-                "trials": len(method_rows),
-                "failures": sum(bool(r.error) for r in method_rows),
-            }
-        summary[_value_key(v)] = cell
+    for (v, meth), group in itertools.groupby(ordered, lambda r: (r.sweep_value, r.method)):
+        cell = list(group)
+        errs = [r.nl2_error for r in cell]
+        times = [r.time_s for r in cell]
+        summary.setdefault(_value_key(v), {})[meth] = {
+            "mean_error": float(np.mean(errs)),
+            "median_error": float(np.median(errs)),
+            "mean_time_s": float(np.mean(times)),
+            "median_time_s": float(np.median(times)),
+            "trials": len(cell),
+            "failures": sum(bool(r.error) for r in cell),
+        }
 
     metadata = {
         "error_reference": "noisy sample vector x (equals the clean signal when noiseless)",
@@ -316,7 +306,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
             "error = the exception's class name"
         ),
     }
-    return ExperimentResult(spec=spec, rows=ordered, summary=summary, metadata=metadata)
+    return ExperimentResult(spec=spec, rows=tuple(ordered), summary=summary, metadata=metadata)
 
 
 def _value_key(v: float) -> str:

@@ -33,7 +33,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .estimator import _full_band, _inside_band, _measured_atoms, estimate_sinusoid
+from .estimator import _full_band, _measured_atoms, _params_from_coef, estimate_sinusoid
 from .model import SignalModel, SinusoidParams, component_samples, synthesize
 from .sensing import Measurement, SensingMatrix
 
@@ -101,10 +101,6 @@ class RecoveryResult:
     stop_reason: str
 
 
-def _placeholder_frequencies(k: int) -> list[float]:
-    return [math.pi * (i + 1) / (k + 1) for i in range(k)]
-
-
 def _assemble_model(params: list[SinusoidParams | None], n: int) -> SignalModel:
     """Turn per-slot parameters into a valid model.
 
@@ -114,12 +110,11 @@ def _assemble_model(params: list[SinusoidParams | None], n: int) -> SignalModel:
     unchanged at double precision).
     """
     k = len(params)
-    placeholders = _placeholder_frequencies(k)
     used: set[float] = set()
     comps = []
     for i, p in enumerate(params):
         if p is None:
-            p = SinusoidParams(omega=placeholders[i], amplitude=0.0, phase=0.0)
+            p = SinusoidParams(omega=math.pi * (i + 1) / (k + 1), amplitude=0.0, phase=0.0)
         omega = p.omega
         while omega in used:
             omega = math.nextafter(omega, math.pi)
@@ -198,8 +193,9 @@ def recover(
 ) -> RecoveryResult:
     """Recover ``cfg.k`` sinusoids from the measurement ``m = Phi @ x``.
 
-    Deterministic for fixed inputs.  Emits a warning (and still runs) when
-    3k exceeds the measurement count, i.e. more parameters than equations.
+    Deterministic for fixed inputs.  Raises ValueError up front when 2k > N,
+    which no model admits, and emits a warning (and still runs) when 3k
+    exceeds the measurement count, i.e. more parameters than equations.
     With k > 1 every warm-up estimate stops after _WARMUP_NEWTON_STEPS
     evaluations of s' and the joint polish owns the precision; with k = 1
     the residual never changes, so the one warm-up estimate runs to the
@@ -214,6 +210,8 @@ def recover(
         raise ValueError(f"measurement length {len(m.values)} != matrix m={phi.m_rows}")
     k = cfg.k
     n = phi.n_cols
+    if 2 * k > n:
+        raise ValueError(f"need 2k <= n for an identifiable model, got k={k}, n={n}")
     if 3 * k > phi.m_rows:
         warnings.warn(
             f"underdetermined recovery: 3k={3 * k} parameters from only "
@@ -272,10 +270,7 @@ def recover(
     omegas = np.array([math.nan if p is None else p.omega for p in params])
     if sweep_norms[-1] > 0.0 and _admissible(omegas):
         omegas, coef = _polish(_full_band(phi)[2], mv, omegas)
-        polished = [
-            SinusoidParams.from_linear(_inside_band(float(w)), float(s), float(c))
-            for w, c, s in zip(omegas, coef[0::2], coef[1::2])
-        ]
+        polished = _params_from_coef(omegas, coef)
         polished_measured = [phi.entries @ component_samples(p, n) for p in polished]
         resid = float(np.linalg.norm(mv - sum(polished_measured)))
         if resid < sweep_norms[-1]:

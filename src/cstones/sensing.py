@@ -28,9 +28,9 @@ GAUSSIAN = "gaussian"
 SUBSAMPLING = "subsampling"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SensingMatrix:
-    """Dense M x N real measurement operator with provenance."""
+    """Dense M x N real measurement operator with provenance; compares by identity."""
 
     entries: np.ndarray
     kind: str
@@ -70,9 +70,9 @@ class SensingMatrix:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Measurement:
-    """A compressed measurement vector."""
+    """A compressed measurement vector; measurements compare by identity."""
 
     values: np.ndarray
 

@@ -219,6 +219,24 @@ class TestSweep:
         code = run_cli("sweep", "--out-prefix", str(tmp_path / "x"))
         assert code == EXIT_IO
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--k", "9", "--n", "16", "--values", "8"),
+            ("--k", "1", "--n", "16", "--values", "8,17"),
+            ("--axis", "snr", "--k", "1", "--n", "16", "--values", "20", "--m", "17"),
+        ],
+        ids=["2k_over_n", "m_over_n", "snr_fixed_m_over_n"],
+    )
+    @pytest.mark.parametrize("dry_run", [True, False], ids=["dry_run", "run"])
+    def test_spec_no_trial_can_run_is_spec_error(self, tmp_path, capsys, flags, dry_run):
+        argv = ["sweep", *flags, "--trials", "1", "--out-prefix", str(tmp_path / "x")]
+        code = run_cli(*argv, *(["--dry-run"] if dry_run else []))
+        assert code == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error:" in captured.err
+        assert not list(tmp_path.glob("x.*"))
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "sweep.json"
         cfg.write_text(json.dumps({
@@ -289,6 +307,23 @@ class TestBench:
         assert set(table) == {"mds", "oracle"}
         assert all(row["mean_time_s"] >= 0.0 for row in table.values())
         assert all(row["median_time_s"] >= 0.0 for row in table.values())
+
+    def test_prints_the_sweep_summary_cell(self, tmp_path, capsys):
+        # bench prints, per method, exactly the record a sweep's summary
+        # JSON holds for the same operating point
+        common = ("--k", "2", "--n", "32", "--m", "24", "--trials", "2", "--seed", "9",
+                  "--methods", "mds,oracle,bomp")
+        assert run_cli("bench", *common) == EXIT_OK
+        table = json.loads(capsys.readouterr().out)
+        prefix = tmp_path / "one"
+        assert run_cli("sweep", "--values", "24", *common, "--out-prefix", str(prefix)) == EXIT_OK
+        cell = json.loads((tmp_path / "one.json").read_text())["summary"]["24"]
+        assert set(table) == set(cell) == {"mds", "oracle", "bomp"}
+        for meth, row in table.items():
+            assert set(row) == set(cell[meth])
+            assert {"median_error", "failures"} <= set(row)
+            for key in ("mean_error", "median_error", "trials", "failures"):
+                assert row[key] == cell[meth][key], (meth, key)
 
 
 @pytest.mark.parametrize(

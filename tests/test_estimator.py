@@ -168,16 +168,19 @@ class TestOrthonormalPairs:
 class TestRoundTableCache:
     """The one cached round-1 table: the full band of the most recent matrix."""
 
-    def test_warm_call_equals_cold_call(self, monkeypatch):
+    def test_warm_call_equals_cold_call(self):
         phi = gaussian_matrix(32, 64, seed=31)
         rng = np.random.default_rng(32)
         r_warmup, r = rng.normal(size=(2, 32))
-        monkeypatch.setattr(estimator, "_full_band_cache", None)
+        estimator._full_band.cache_clear()
         cold = estimate_sinusoid(phi, r)
-        monkeypatch.setattr(estimator, "_full_band_cache", None)
+        estimator._full_band.cache_clear()
         estimate_sinusoid(phi, r_warmup)
-        assert estimator._full_band_cache[0] is phi
+        hits = estimator._full_band.cache_info().hits
+        entry = estimator._full_band(phi)
+        assert estimator._full_band.cache_info().hits == hits + 1  # the entry is phi's
         warm = estimate_sinusoid(phi, r)
+        assert estimator._full_band(phi) is entry
         for f in dataclasses.fields(EstimateOutcome):
             assert getattr(warm, f.name) == getattr(cold, f.name), f.name
 
@@ -185,31 +188,34 @@ class TestRoundTableCache:
         phi = gaussian_matrix(16, 32, seed=33)
         twin = gaussian_matrix(16, 32, seed=33)  # equal entries, other object
         r, r_other = np.random.default_rng(34).normal(size=(2, 16))
+        estimator._full_band.cache_clear()
         estimate_sinusoid(phi, r)
-        first = estimator._full_band_cache
+        first = estimator._full_band(phi)
         estimate_sinusoid(phi, r_other)
-        assert estimator._full_band_cache is first
-        omegas, _, stacked = first[1:]
+        assert estimator._full_band(phi) is first
+        assert estimator._full_band.cache_info().misses == 1
+        omegas, _, stacked = first
         assert omegas.size == 33 and omegas[0] == 0.0 and omegas[-1] == math.pi
         t = np.arange(1.0, 33.0)
         np.testing.assert_array_equal(
             stacked, np.concatenate((phi.entries, phi.entries * t, phi.entries * (t * t)))
         )
         estimate_sinusoid(twin, r)
-        assert estimator._full_band_cache[0] is twin
-        assert estimator._full_band_cache is not first
+        assert estimator._full_band.cache_info().misses == 2
+        assert estimator._full_band(twin) is not first
+        assert estimator._full_band.cache_info().currsize == 1
 
     def test_flagship_recover_cold_equals_warm(self, monkeypatch):
         truth = draw_model(3, 128, math.pi / 128, preset="freq", seed=35)
         phi = gaussian_matrix(64, 128, seed=36)
         m = measure(phi, synthesize(truth))
-        monkeypatch.setattr(estimator, "_full_band_cache", None)
+        estimator._full_band.cache_clear()
         warm = recover(phi, m, RecoveryConfig(k=3))
 
         budgets = []
 
         def cold_estimate(*args, **kwargs):
-            estimator._full_band_cache = None
+            estimator._full_band.cache_clear()
             budgets.append(kwargs.get("newton_steps"))
             return estimate_sinusoid(*args, **kwargs)
 
@@ -227,17 +233,19 @@ class TestRoundTableCache:
         phi = gaussian_matrix(64, 128, seed=40)
         m = measure(phi, synthesize(truth))
         estimate_sinusoid(phi, m.values)
-        full_band = estimator._full_band_cache
+        full_band = estimator._full_band(phi)
+        misses = estimator._full_band.cache_info().misses
         # every estimate and the polish of the recover reuse the entry,
         # never rebuilding it
         result = recover(phi, m, RecoveryConfig(k=3))
         assert result.stop_reason == "polished"
-        assert estimator._full_band_cache is full_band
+        assert estimator._full_band.cache_info().misses == misses
+        assert estimator._full_band(phi) is full_band
 
     def test_cached_arrays_read_only(self):
         phi = gaussian_matrix(16, 32, seed=41)
         estimate_sinusoid(phi, np.random.default_rng(42).normal(size=16))
-        omegas, tables, stacked = estimator._full_band_cache[1:]
+        omegas, tables, stacked = estimator._full_band(phi)
         assert stacked.shape == (3 * 16, 32)
         for a in (omegas, *tables, stacked):
             assert not a.flags.writeable
@@ -432,7 +440,7 @@ class TestEstimateSinusoid:
                 assert out.best_s_history == full.best_s_history[: 1 + steps]
         assert cut_short >= 5  # the budget, not the bracket width, ended most searches
 
-    @pytest.mark.parametrize("steps", [0, -1, 2.5])
+    @pytest.mark.parametrize("steps", [0, -1, 2.5, True, False])
     def test_bad_newton_step_budget_rejected(self, steps):
         phi = gaussian_matrix(8, 16, seed=24)
         with pytest.raises(ValueError, match="newton_steps"):

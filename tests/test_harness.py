@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo harness: metrics, matching, sweeps, serialization."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -118,10 +119,39 @@ class TestExperimentSpec:
         with pytest.raises(ValueError):
             small_spec(sweep_axis="epsilon")
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(k=17),  # 2k > n = 32
+            dict(sweep_values=(0.0, 16.0)),
+            dict(sweep_values=(16.0, 33.0)),
+            dict(sweep_axis="snr", sweep_values=(10.0,), fixed_m=0),
+            dict(sweep_axis="snr", sweep_values=(10.0,), fixed_m=33),
+        ],
+        ids=["2k_over_n", "m_zero", "m_over_n", "snr_fixed_m_zero", "snr_fixed_m_over_n"],
+    )
+    def test_spec_no_trial_can_run_rejected(self, overrides):
+        with pytest.raises(ValueError):
+            small_spec(**overrides)
+
+    def test_spec_edges_accepted(self):
+        small_spec(k=16, sweep_values=(1.0, 32.0))
+        # fixed_m is unused on the m axis, the sweep values on the snr axis
+        small_spec(fixed_m=64)
+        small_spec(sweep_axis="snr", sweep_values=(-10.0, 100.0), fixed_m=32)
+
     def test_spec_round_trips_to_dict(self):
         d = small_spec().to_dict()
         assert d["sweep_values"] == [16.0, 24.0]
         assert "recovery" not in d
+
+    def test_to_dict_lists_every_field_and_the_resolved_gap(self):
+        spec = small_spec()
+        d = spec.to_dict()
+        assert list(d) == [f.name for f in dataclasses.fields(ExperimentSpec)]
+        assert d["methods"] == list(spec.methods)
+        assert d["min_sep"] == math.pi / spec.n
+        assert small_spec(min_sep=0.25).to_dict()["min_sep"] == 0.25
 
 
 class TestRunExperiment:

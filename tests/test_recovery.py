@@ -51,6 +51,24 @@ class TestRecover:
         expected = recovery._WARMUP_NEWTON_STEPS if k > 1 else None
         assert budgets == [expected] * (k * result.sweeps_used)
 
+    def test_too_many_tones_rejected_before_the_warm_up(self, monkeypatch):
+        # 2k > N admits no model: refused before any estimate runs
+        phi = gaussian_matrix(16, 16, seed=19)
+        m = Measurement(values=np.random.default_rng(20).normal(size=16))
+        calls = []
+
+        def traced(*args, **kwargs):
+            calls.append(args)
+            return estimate_sinusoid(*args, **kwargs)
+
+        monkeypatch.setattr(recovery, "estimate_sinusoid", traced)
+        with pytest.raises(ValueError, match="2k <= n"):
+            recover(phi, m, RecoveryConfig(9))
+        assert calls == []
+        with pytest.warns(UserWarning, match="underdetermined"):
+            recover(phi, m, RecoveryConfig(8))  # the largest k that fits runs
+        assert calls
+
     def test_identity_matrix_two_tones(self):
         phi = identity_phi(128)
         model = SignalModel(

@@ -178,6 +178,19 @@ class TestImmutability:
             meas.values[0] = 2.0
 
 
+class TestIdentity:
+    def test_distinct_matrices_compare_unequal(self):
+        # equal entries, two objects: identity decides, and nothing raises
+        phi, twin = gaussian_matrix(4, 8, seed=3), gaussian_matrix(4, 8, seed=3)
+        assert phi == phi and phi != twin
+        assert len({phi, twin, phi}) == 2
+
+    def test_distinct_measurements_compare_unequal(self):
+        meas, twin = Measurement(values=np.ones(3)), Measurement(values=np.ones(3))
+        assert meas == meas and meas != twin
+        assert len({meas, twin, meas}) == 2
+
+
 class TestProvenance:
     def test_regenerable_from_tuple(self):
         phi = gaussian_matrix(12, 24, seed=42)
