@@ -16,6 +16,7 @@ import math
 import numpy as np
 
 from .estimator import (
+    _cis,
     _dft_atoms,
     _measured_atoms,
     _orthonormal_pairs,
@@ -106,9 +107,14 @@ def grid_oracle_batch(
     best_omega = np.zeros(n_batch)
     cols = np.arange(n_batch)
     residuals_t = np.ascontiguousarray(residuals.T)
+    # node start + j is omega_start + omega_j: rotate the first chunk's phasors
+    table = _cis(omegas[:_SCAN_CHUNK], phi.n_cols)
+    phasors = np.empty_like(table)
     for start in range(0, grid_size, _SCAN_CHUNK):
         chunk = omegas[start:start + _SCAN_CHUNK]
-        q0, q1 = _orthonormal_pairs(_measured_atoms(phi.entries, chunk))
+        np.multiply(table, _cis(omegas[start:start + 1], phi.n_cols), out=phasors)
+        w = phi.entries @ phasors[:, : chunk.size].view(float)
+        q0, q1 = _orthonormal_pairs(w.reshape(phi.m_rows, -1, 2))
         gain = np.square(residuals_t @ q0)
         gain += np.square(residuals_t @ q1)
         j = np.argmax(gain, axis=1)

@@ -15,11 +15,11 @@ on s' then polishes it to a fixed bracket width, ``_FREQ_TOL``.
 Measured atoms for many frequencies come from one of two kernels.  A
 uniform DFT grid w_k = 2 pi k / L (the full band, L = 2N, and BOMP's
 oversampled grid) is one real FFT of each zero-padded row of Phi
-(``_dft_atoms``); arbitrary frequencies (the grid oracle's chunks, the
-polish fits, ``oracle_ls``) go through the factored phasor table and one
-GEMM (``_measured_atoms``).  Both feed the pair bases of
-``_orthonormal_pairs``, against which a residual is scored by its captured
-energy.
+(``_dft_atoms``); arbitrary frequencies (the polish fits, ``oracle_ls``)
+take one GEMM on directly evaluated cos/sin samples (``_measured_atoms``),
+and the grid oracle rotates one such table (``_cis``) per chunk of its
+uniform scan.  All feed the pair bases of ``_orthonormal_pairs``, against
+which a residual is scored by its captured energy.
 """
 
 from __future__ import annotations
@@ -122,45 +122,13 @@ def amplitude_ls(a: np.ndarray, r: np.ndarray) -> tuple[float, float, float]:
     return a1, a2, float(res @ res)
 
 
-def _phasors(omegas: np.ndarray, n: int) -> np.ndarray:
-    """The n x K complex table exp(i * omegas[k] * t) for t = 1..n, by factoring.
-
-    With S = ceil(sqrt(n)) every sample time writes uniquely as
-    t = S*a + b + 1 with 0 <= b < S, so
-
-        exp(i w t) = exp(i w (S a + 1)) * exp(i w b).
-
-    The head table exp(i w (S a + 1)) has ceil(n/S) rows and the tail table
-    exp(i w b) has S rows; both are running products of exp(i w S) and
-    exp(i w).  Per frequency that is two cos/sin pairs and about 2*sqrt(n)
-    complex multiplies instead of n cos/sin pairs, and one broadcast
-    multiply of head and tail then fills the n x K table (the chirp-z /
-    Vandermonde factoring of Rabiner, Schafer and Rader, 1969).  The nodes
-    ``omegas`` need not be uniform.
-
-    Accuracy: the seed exp(i w S) is a correctly rounded cos/sin of the
-    argument w*S, itself rounded with relative error eps, so its phase is
-    off by about eps*w*S; its a-th power in the running product carries
-    a*eps*w*S plus one rounding per multiply, at most about eps*(pi*n +
-    2*sqrt(n)) in all.  The tail and the final multiply add O(sqrt(n)*eps).
-    The error is O(eps*n) per entry, the same order as evaluating
-    sin(w*t) directly from the rounded product w*t.
-    """
-    step = math.isqrt(n - 1) + 1
-    rows = -(-n // step)
-    args = np.multiply.outer(np.array([1.0, step]), omegas)
-    seeds = np.empty(args.shape, dtype=complex)
-    np.cos(args, out=seeds.real)
-    np.sin(args, out=seeds.imag)
-    head = np.empty((rows, omegas.size), dtype=complex)
-    head[0] = seeds[0]
-    head[1:] = seeds[1]
-    np.cumprod(head, axis=0, out=head)
-    tail = np.empty((step, omegas.size), dtype=complex)
-    tail[0] = 1.0
-    tail[1:] = seeds[0]
-    np.cumprod(tail, axis=0, out=tail)
-    return (head[:, None, :] * tail[None, :, :]).reshape(rows * step, -1)[:n]
+def _cis(omegas: np.ndarray, n: int) -> np.ndarray:
+    """The n x K table exp(i w_k t), t = 1..n, by direct cos/sin of t * w_k."""
+    wt = np.multiply.outer(np.arange(1.0, n + 1.0), omegas)
+    table = np.empty(wt.shape, dtype=complex)
+    np.cos(wt, out=table.real)
+    np.sin(wt, out=table.imag)
+    return table
 
 
 def _measured_atoms(phi_entries: np.ndarray, omegas) -> np.ndarray:
@@ -168,12 +136,13 @@ def _measured_atoms(phi_entries: np.ndarray, omegas) -> np.ndarray:
 
     The [..., 0] plane is Phi @ cos(w_k t) and the [..., 1] plane
     Phi @ sin(w_k t), from one real GEMM on the interleaved (cos, sin) view
-    of the phasor table.  This is the path for arbitrary frequencies; a
-    uniform DFT grid is cheaper through ``_dft_atoms``.  ``build_atoms``
-    stays the direct single-frequency reference both are tested against.
+    of the directly evaluated table ``_cis``.  This is the path for
+    arbitrary frequencies; a uniform DFT grid is cheaper through
+    ``_dft_atoms``.  ``build_atoms`` stays the single-frequency reference
+    both are tested against.
     """
-    phasors = _phasors(np.asarray(omegas, dtype=float), phi_entries.shape[1])
-    w = phi_entries @ phasors.view(float)
+    table = _cis(np.asarray(omegas, dtype=float), phi_entries.shape[1])
+    w = phi_entries @ table.view(float)
     return w.reshape(phi_entries.shape[0], -1, 2)
 
 

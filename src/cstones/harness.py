@@ -65,10 +65,10 @@ class ExperimentSpec:
 
     ``sweep_axis`` is "m" (vary measurement count, fixed SNR) or "snr"
     (vary SNR in dB, fixed measurement count).  ``fixed_snr_db`` of None
-    means noiseless.  Sweep values must be sorted ascending.  The "mds"
+    means noiseless.  Sweep values must be strictly ascending.  The "mds"
     method recovers ``k`` components with ``RecoveryConfig(k)``.  A spec
     that no trial can run is rejected: 2k > n, or a measurement count (the
-    sweep values on the "m" axis, ``fixed_m`` on "snr") outside 1..n.
+    sweep values on the "m" axis, ``fixed_m`` on "snr") not an integer in 1..n.
     """
 
     sweep_axis: str
@@ -91,8 +91,8 @@ class ExperimentSpec:
             raise ValueError(f"sweep_axis must be 'm' or 'snr', got {self.sweep_axis!r}")
         if not self.sweep_values:
             raise ValueError("sweep_values must be nonempty")
-        if list(self.sweep_values) != sorted(self.sweep_values):
-            raise ValueError(f"sweep_values must be ascending: {self.sweep_values}")
+        if not all(a < b for a, b in zip(self.sweep_values, self.sweep_values[1:])):
+            raise ValueError(f"sweep_values must be strictly ascending: {self.sweep_values}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         for meth in self.methods:
@@ -104,8 +104,8 @@ class ExperimentSpec:
         if 2 * self.k > self.n:
             raise ValueError(f"need 2k <= n for an identifiable model, got k={self.k}, n={self.n}")
         for m in self.sweep_values if self.sweep_axis == AXIS_M else (self.fixed_m,):
-            if not 1 <= int(m) <= self.n:
-                raise ValueError(f"measurement count {m} is outside 1..n={self.n}")
+            if not (float(m).is_integer() and 1 <= m <= self.n):
+                raise ValueError(f"measurement count {m} is not an integer in 1..n={self.n}")
 
     @property
     def resolved_min_sep(self) -> float:

@@ -104,22 +104,23 @@ class TestGridOracle:
     def test_batch_matches_direct_trig_brute_force(self):
         phi = gaussian_matrix(12, 20, seed=6)
         residuals = np.random.default_rng(7).normal(size=(12, 4))
-        grid_size = 301
-        grid = np.linspace(0.0, math.pi, grid_size)
         t = np.arange(1, 21, dtype=float)
-        sin_t = phi.entries @ np.sin(np.outer(t, grid))
-        cos_t = phi.entries @ np.cos(np.outer(t, grid))
-        omegas, s_vals = grid_oracle_batch(phi, residuals, grid_size)
-        for col in range(residuals.shape[1]):
-            r = residuals[:, col]
-            scan = []
-            for i in range(grid_size):
-                a = np.column_stack((sin_t[:, i], cos_t[:, i]))
-                coef = np.linalg.lstsq(a, r, rcond=None)[0]
-                scan.append(float(np.sum((r - a @ coef) ** 2)))
-            best = int(np.argmin(scan))
-            assert omegas[col] == grid[best]
-            assert s_vals[col] == pytest.approx(scan[best], rel=1e-9)
+        # the larger grid adds a full and a partial rotated chunk past the first
+        for grid_size in (301, 2 * baselines._SCAN_CHUNK + 301):
+            grid = np.linspace(0.0, math.pi, grid_size)
+            sin_t = phi.entries @ np.sin(np.outer(t, grid))
+            cos_t = phi.entries @ np.cos(np.outer(t, grid))
+            omegas, s_vals = grid_oracle_batch(phi, residuals, grid_size)
+            for col in range(residuals.shape[1]):
+                r = residuals[:, col]
+                scan = []
+                for i in range(grid_size):
+                    a = np.column_stack((sin_t[:, i], cos_t[:, i]))
+                    coef = np.linalg.lstsq(a, r, rcond=None)[0]
+                    scan.append(float(np.sum((r - a @ coef) ** 2)))
+                best = int(np.argmin(scan))
+                assert omegas[col] == grid[best], (grid_size, col)
+                assert s_vals[col] == pytest.approx(scan[best], rel=1e-9)
 
     @pytest.mark.parametrize("omega", [0.0, math.pi])
     def test_degenerate_endpoint_rank_one_identity(self, omega):

@@ -225,8 +225,9 @@ class TestSweep:
             ("--k", "9", "--n", "16", "--values", "8"),
             ("--k", "1", "--n", "16", "--values", "8,17"),
             ("--axis", "snr", "--k", "1", "--n", "16", "--values", "20", "--m", "17"),
+            ("--values", "16.5"),
         ],
-        ids=["2k_over_n", "m_over_n", "snr_fixed_m_over_n"],
+        ids=["2k_over_n", "m_over_n", "snr_fixed_m_over_n", "m_not_integral"],
     )
     @pytest.mark.parametrize("dry_run", [True, False], ids=["dry_run", "run"])
     def test_spec_no_trial_can_run_is_spec_error(self, tmp_path, capsys, flags, dry_run):

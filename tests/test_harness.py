@@ -127,8 +127,13 @@ class TestExperimentSpec:
             dict(sweep_values=(16.0, 33.0)),
             dict(sweep_axis="snr", sweep_values=(10.0,), fixed_m=0),
             dict(sweep_axis="snr", sweep_values=(10.0,), fixed_m=33),
+            dict(sweep_values=(16.0, 16.0)),
+            dict(sweep_values=(16.5,)),
         ],
-        ids=["2k_over_n", "m_zero", "m_over_n", "snr_fixed_m_zero", "snr_fixed_m_over_n"],
+        ids=[
+            "2k_over_n", "m_zero", "m_over_n", "snr_fixed_m_zero", "snr_fixed_m_over_n",
+            "repeated_values", "m_not_integral",
+        ],
     )
     def test_spec_no_trial_can_run_rejected(self, overrides):
         with pytest.raises(ValueError):
