@@ -80,8 +80,6 @@ def cmd_synth(args) -> int:
     _atomic_write(args.out_model, json.dumps(record, indent=2, sort_keys=True) + "\n")
 
     if args.out_measurement is not None:
-        if args.m is None:
-            raise ValueError("--out-measurement requires --m")
         phi = matrix_from_kind(args.matrix_kind, args.m, args.n, args.matrix_seed)
         meas = measure(phi, x)
         _write_value_csv(args.out_measurement, meas.values, "index")

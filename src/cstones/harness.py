@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .baselines import bomp_recover, oracle_ls
-from .model import NoiseSpec, add_noise, draw_model, synthesize
+from .model import NoiseSpec, _check_draw, add_noise, draw_model, synthesize
 from .recovery import RecoveryConfig, recover
 from .sensing import GAUSSIAN, SUBSAMPLING, matrix_from_kind, measure
 
@@ -67,8 +67,9 @@ class ExperimentSpec:
     (vary SNR in dB, fixed measurement count).  ``fixed_snr_db`` of None
     means noiseless.  Sweep values must be strictly ascending.  The "mds"
     method recovers ``k`` components with ``RecoveryConfig(k)``.  A spec
-    that no trial can run is rejected: 2k > n, or a measurement count (the
-    sweep values on the "m" axis, ``fixed_m`` on "snr") not an integer in 1..n.
+    that no trial can run is rejected: 2k > n, a ``min_sep`` or preset
+    ``draw_model`` refuses, or a measurement count not an integer in 1..n
+    or an SNR ``NoiseSpec`` refuses (the sweep values or the fixed value).
     """
 
     sweep_axis: str
@@ -103,9 +104,12 @@ class ExperimentSpec:
         RecoveryConfig(self.k)  # raises on an invalid k
         if 2 * self.k > self.n:
             raise ValueError(f"need 2k <= n for an identifiable model, got k={self.k}, n={self.n}")
+        _check_draw(self.k, self.resolved_min_sep, self.preset)
         for m in self.sweep_values if self.sweep_axis == AXIS_M else (self.fixed_m,):
             if not (float(m).is_integer() and 1 <= m <= self.n):
                 raise ValueError(f"measurement count {m} is not an integer in 1..n={self.n}")
+        for snr in self.sweep_values if self.sweep_axis == AXIS_SNR else (self.fixed_snr_db,):
+            NoiseSpec(snr)  # raises on a non-finite SNR
 
     @property
     def resolved_min_sep(self) -> float:
@@ -226,10 +230,7 @@ def _run_cell(spec: ExperimentSpec, sweep_value: float, trial: int) -> list[Tria
             xhat, freqs_hat = _apply_method(method, spec, phi, meas, model)
             elapsed = time.perf_counter() - t0
             nl2 = normalized_l2_error(x, xhat)
-            if freqs_hat is not None and len(freqs_hat) == model.k:
-                _, freq_errors = match_frequencies(model.frequencies, freqs_hat)
-            else:
-                freq_errors = None
+            _, freq_errors = match_frequencies(model.frequencies, freqs_hat)
         except Exception as exc:
             # Failed trials score the worst-case xhat = 0 error, record the
             # exception's class and keep the sweep running.

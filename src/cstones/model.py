@@ -231,6 +231,22 @@ def add_noise(s: np.ndarray, spec: NoiseSpec) -> np.ndarray:
     return s + rng.normal(0.0, sigma, size=s.size)
 
 
+def _check_draw(k: int, min_sep: float, preset: str) -> None:
+    """Raise ValueError unless ``draw_model`` can draw with these settings.
+
+    K tones in (min_sep, pi - min_sep) with gaps of at least ``min_sep``
+    need (k + 1) * min_sep < pi, which a NaN ``min_sep`` fails.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if not (min_sep >= 0.0 and (k + 1) * min_sep < math.pi):
+        raise ValueError(
+            f"infeasible separation: need 0 <= (k+1)*min_sep < pi, got min_sep={min_sep!r}, k={k}"
+        )
+    if preset.lower() not in (FREQ_PRESET, SINU_PRESET):
+        raise ValueError(f"unknown preset {preset!r}; expected 'freq' or 'sinu'")
+
+
 def draw_model(
     k: int,
     n: int,
@@ -248,21 +264,12 @@ def draw_model(
     Raises
     ------
     ValueError
-        If k * min_sep >= pi (infeasible) or the preset is unknown.
+        If ``_check_draw`` refuses k, ``min_sep`` or the preset.
     RuntimeError
         If no admissible draw is found within ``_MAX_DRAWS`` attempts.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if min_sep < 0.0:
-        raise ValueError(f"min_sep must be >= 0, got {min_sep}")
-    if k * min_sep >= math.pi:
-        raise ValueError(
-            f"infeasible separation: k*min_sep = {k * min_sep:.6g} must be < pi"
-        )
+    _check_draw(k, min_sep, preset)
     preset = preset.lower()
-    if preset not in (FREQ_PRESET, SINU_PRESET):
-        raise ValueError(f"unknown preset {preset!r}; expected 'freq' or 'sinu'")
 
     rng = np.random.default_rng(seed)
     lo, hi = min_sep, math.pi - min_sep

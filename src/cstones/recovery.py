@@ -11,13 +11,13 @@ where s_j are the samples of slot j, and replaces slot i with the single
 best-matching sinusoid for r.  A replacement is only accepted if it does not
 increase the total measurement residual, which keeps the per-sweep residual
 norms non-increasing.  The warm-up stops after ``RecoveryConfig.max_sweeps``
-sweeps, or earlier once the residual norm stops changing (relative to
-||m||).
+sweeps, or earlier at a fixed point: a sweep that changes no slot, since
+the next one would repeat it bit for bit.
 
 Cyclic descent converges only linearly, so the warm-up merely lands every
-slot in its basin, and with K > 1 each of its estimates stops after three
-Newton steps (as Newtonized OMP does before its joint refinement:
-Mamandipoor, Ramasamy & Madhow 2016).  The polish then minimizes
+slot in its basin, and each of its estimates stops after three Newton
+steps (as Newtonized OMP does before its joint refinement: Mamandipoor,
+Ramasamy & Madhow 2016).  The polish then minimizes
 ||m - A(w) c|| over all K frequencies w at once, with the 2K linear
 amplitudes c projected out by least squares (variable projection, Golub &
 Pereyra 1973), by Levenberg-Marquardt steps on Kaufman's Jacobian.  It is
@@ -43,12 +43,9 @@ __all__ = [
     "recover",
 ]
 
-# Warm-up sweeps halt once the residual norm changes by less than this
-# times ||m||.
-_RESIDUAL_REL_TOL = 1e-10
-# With k > 1 each warm-up estimate stops after this many evaluations of s':
-# the warm-up only has to land every slot in its basin, and the joint
-# polish then sets every frequency to machine precision.
+# Each warm-up estimate stops after this many evaluations of s': the
+# warm-up only has to land every slot in its basin, and the joint polish
+# then sets every frequency to machine precision.
 _WARMUP_NEWTON_STEPS = 3
 # The polish ends once a trial step moves no frequency by more than this,
 # or after this many trial steps.
@@ -89,8 +86,8 @@ class RecoveryResult:
     entry for the joint polish when it is kept (a non-increasing
     sequence).  ``stop_reason`` is ``"zero_input"`` for a zero
     measurement, ``"polished"`` when the polish is kept, and otherwise
-    says how the warm-up ended: ``"converged"`` on the residual test or
-    ``"sweep_cap"`` after ``RecoveryConfig.max_sweeps`` sweeps.
+    says how the warm-up ended: ``"converged"`` when its last sweep changed
+    no slot, or ``"sweep_cap"`` after ``RecoveryConfig.max_sweeps`` sweeps.
     """
 
     model: SignalModel
@@ -196,15 +193,13 @@ def recover(
     Deterministic for fixed inputs.  Raises ValueError up front when 2k > N,
     which no model admits, and emits a warning (and still runs) when 3k
     exceeds the measurement count, i.e. more parameters than equations.
-    With k > 1 every warm-up estimate stops after _WARMUP_NEWTON_STEPS
-    evaluations of s' and the joint polish owns the precision; with k = 1
-    the residual never changes, so the one warm-up estimate runs to the
-    estimator's _FREQ_TOL bracket.  A zero measurement returns the
-    all-zero model immediately; the joint polish is skipped when the
-    warm-up leaves a slot empty or fits ``m`` exactly.  Scaling ``m`` by
-    a power of two scales the amplitudes, the signal and the residual
-    norms by it and changes nothing else, bit for bit, as long as no
-    result overflows or turns subnormal.
+    Every warm-up estimate stops after _WARMUP_NEWTON_STEPS evaluations of
+    s', and the joint polish owns the precision.  A zero measurement
+    returns the all-zero model immediately; the joint polish is skipped
+    when the warm-up leaves a slot empty or fits ``m`` exactly.  Scaling
+    ``m`` by a power of two scales the amplitudes, the signal and the
+    residual norms by it and changes nothing else, bit for bit, as long as
+    no result overflows or turns subnormal.
     """
     if len(m.values) != phi.m_rows:
         raise ValueError(f"measurement length {len(m.values)} != matrix m={phi.m_rows}")
@@ -236,21 +231,20 @@ def recover(
 
     e = math.frexp(m_max)[1]
     mv = np.ldexp(m.values, -e)
-    m_norm = float(np.linalg.norm(mv))
     params: list[SinusoidParams | None] = [None] * k
     measured = [np.zeros(phi.m_rows) for _ in range(k)]
     sweep_norms: list[float] = []
     stop_reason = "sweep_cap"
-    newton_steps = _WARMUP_NEWTON_STEPS if k > 1 else None
 
     for _sweep in range(cfg.max_sweeps):
+        before = list(params)
         for i in range(k):
             r = mv - (sum(measured) - measured[i])
             if float(r @ r) == 0.0:
                 params[i] = None
                 measured[i] = np.zeros(phi.m_rows)
                 continue
-            outcome = estimate_sinusoid(phi, r, newton_steps=newton_steps)
+            outcome = estimate_sinusoid(phi, r, newton_steps=_WARMUP_NEWTON_STEPS)
             cand_measured = phi.entries @ component_samples(outcome.params, n)
             old_sq = float(np.sum((r - measured[i]) ** 2))
             new_sq = float(np.sum((r - cand_measured) ** 2))
@@ -260,9 +254,8 @@ def recover(
                 params[i] = outcome.params
                 measured[i] = cand_measured
 
-        resid = float(np.linalg.norm(mv - sum(measured)))
-        sweep_norms.append(resid)
-        if len(sweep_norms) >= 2 and abs(sweep_norms[-2] - resid) < _RESIDUAL_REL_TOL * m_norm:
+        sweep_norms.append(float(np.linalg.norm(mv - sum(measured))))
+        if params == before:  # a fixed point: the next sweep would repeat this one
             stop_reason = "converged"
             break
 

@@ -52,6 +52,18 @@ class TestSynth:
             )
         assert excinfo.value.code != 0
 
+    @pytest.mark.parametrize("min_sep", ["nan", "0.9"])
+    def test_unmeetable_separation_exits_2(self, tmp_path, capsys, min_sep):
+        # 4 * 0.9 > pi: three tones cannot keep 0.9 from each other and the band ends
+        code = run_cli(
+            "synth", "--k", "3", "--n", "16", "--min-sep", min_sep,
+            "--out-signal", str(tmp_path / "s.csv"),
+            "--out-model", str(tmp_path / "m.json"),
+        )
+        assert code == EXIT_VALIDATION
+        assert "error: infeasible separation" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_optional_measurement_output(self, tmp_path):
         meas = tmp_path / "meas.csv"
         code = run_cli(
@@ -226,8 +238,16 @@ class TestSweep:
             ("--k", "1", "--n", "16", "--values", "8,17"),
             ("--axis", "snr", "--k", "1", "--n", "16", "--values", "20", "--m", "17"),
             ("--values", "16.5"),
+            ("--axis", "snr", "--k", "3", "--n", "16", "--m", "8", "--values", "nan"),
+            ("--k", "3", "--n", "16", "--values", "8", "--snr", "nan"),
+            ("--k", "3", "--n", "16", "--values", "8", "--min-sep", "nan"),
+            ("--k", "3", "--n", "16", "--values", "8", "--min-sep", "-1"),
+            ("--k", "3", "--n", "16", "--values", "8", "--min-sep", "2.0"),
         ],
-        ids=["2k_over_n", "m_over_n", "snr_fixed_m_over_n", "m_not_integral"],
+        ids=[
+            "2k_over_n", "m_over_n", "snr_fixed_m_over_n", "m_not_integral", "snr_nan",
+            "fixed_snr_nan", "min_sep_nan", "min_sep_negative", "min_sep_infeasible",
+        ],
     )
     @pytest.mark.parametrize("dry_run", [True, False], ids=["dry_run", "run"])
     def test_spec_no_trial_can_run_is_spec_error(self, tmp_path, capsys, flags, dry_run):

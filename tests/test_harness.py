@@ -129,10 +129,17 @@ class TestExperimentSpec:
             dict(sweep_axis="snr", sweep_values=(10.0,), fixed_m=33),
             dict(sweep_values=(16.0, 16.0)),
             dict(sweep_values=(16.5,)),
+            dict(sweep_axis="snr", sweep_values=(math.nan,), fixed_m=16),
+            dict(fixed_snr_db=math.nan),
+            dict(min_sep=math.nan),
+            dict(min_sep=-1.0),
+            dict(min_sep=2.0),
+            dict(preset="chirp"),
         ],
         ids=[
             "2k_over_n", "m_zero", "m_over_n", "snr_fixed_m_zero", "snr_fixed_m_over_n",
-            "repeated_values", "m_not_integral",
+            "repeated_values", "m_not_integral", "snr_nan", "fixed_snr_nan",
+            "min_sep_nan", "min_sep_negative", "min_sep_infeasible", "unknown_preset",
         ],
     )
     def test_spec_no_trial_can_run_rejected(self, overrides):

@@ -201,11 +201,15 @@ class TestDrawModel:
         assert a == b
 
     def test_infeasible_separation_rejected(self):
-        with pytest.raises(ValueError):
-            draw_model(4, 128, math.pi / 4, preset=FREQ_PRESET, seed=0)
+        # k tones in (min_sep, pi - min_sep) with gaps >= min_sep need
+        # (k + 1) * min_sep < pi; pi / 3.05 at k = 3 meets k * min_sep < pi
+        for k, min_sep in [(4, math.pi / 4), (3, math.pi / 3.05), (1, math.pi / 2),
+                           (3, -1.0), (3, math.nan)]:
+            with pytest.raises(ValueError, match="infeasible separation"):
+                draw_model(k, 128, min_sep, preset=FREQ_PRESET, seed=0)
 
     def test_rejection_budget_diagnostic(self, monkeypatch):
-        # k*min_sep < pi holds but (k+1)*min_sep > pi, so no draw can succeed
+        # a feasible but tight separation that 200 draws do not meet
         monkeypatch.setattr(model_module, "_MAX_DRAWS", 200)
         with pytest.raises(RuntimeError, match="200 draws"):
-            draw_model(3, 128, math.pi / 3.05, preset=FREQ_PRESET, seed=0)
+            draw_model(3, 128, math.pi / 4.05, preset=FREQ_PRESET, seed=0)

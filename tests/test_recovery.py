@@ -17,7 +17,14 @@ from cstones.model import (
 import cstones.estimator as estimator
 import cstones.recovery as recovery
 from cstones.recovery import RecoveryConfig, _admissible, _assemble_model, _polish, recover
-from cstones.sensing import SUBSAMPLING, Measurement, SensingMatrix, gaussian_matrix, measure
+from cstones.sensing import (
+    SUBSAMPLING,
+    Measurement,
+    SensingMatrix,
+    gaussian_matrix,
+    measure,
+    subsampling_matrix,
+)
 
 
 def identity_phi(n):
@@ -26,17 +33,23 @@ def identity_phi(n):
 
 class TestRecover:
     def test_k1_reduces_to_single_estimate(self):
+        # the budgeted warm-up estimate plus the polish matches the
+        # estimator's full-precision fit
         phi = gaussian_matrix(32, 64, seed=5)
         model = SignalModel((SinusoidParams(1.2, 1.0, 0.3),), 64)
         m = measure(phi, synthesize(model))
         result = recover(phi, m, RecoveryConfig(k=1))
         direct = estimate_sinusoid(phi, m.values)
-        assert result.model.components[0] == direct.params
+        got, want = result.model.components[0], direct.params
+        assert abs(got.omega - want.omega) <= 1e-12
+        assert abs(got.amplitude - want.amplitude) <= 1e-12
+        assert abs(got.phase - want.phase) <= 1e-12
+        m_norm = float(np.linalg.norm(m.values))
+        assert result.final_residual_norm <= math.sqrt(direct.residual_sq) + 1e-12 * m_norm
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_warm_up_step_budget(self, monkeypatch, k):
-        # with k > 1 every warm-up visit stops after the step budget; with
-        # k = 1 the one residual never changes, so no budget is passed
+        # every warm-up visit stops after the step budget, whatever k
         truth = draw_model(k, 128, math.pi / 128, "freq", seed=17)
         phi = gaussian_matrix(64, 128, seed=18)
         m = measure(phi, synthesize(truth))
@@ -48,8 +61,7 @@ class TestRecover:
 
         monkeypatch.setattr(recovery, "estimate_sinusoid", traced)
         result = recover(phi, m, RecoveryConfig(k=k))
-        expected = recovery._WARMUP_NEWTON_STEPS if k > 1 else None
-        assert budgets == [expected] * (k * result.sweeps_used)
+        assert budgets == [recovery._WARMUP_NEWTON_STEPS] * (k * result.sweeps_used)
 
     def test_too_many_tones_rejected_before_the_warm_up(self, monkeypatch):
         # 2k > N admits no model: refused before any estimate runs
@@ -161,19 +173,27 @@ class TestRecover:
         assert post <= out.residual_sq + 1e-9
 
     def test_polish_kept_adds_one_norm_and_no_sweep(self):
-        truth = draw_model(3, 128, math.pi / 128, "freq", seed=8)
-        phi = gaussian_matrix(64, 128, seed=9)
-        result = recover(phi, measure(phi, synthesize(truth)), RecoveryConfig(k=3))
-        assert result.stop_reason == "polished"
-        assert result.sweeps_used <= RecoveryConfig.max_sweeps
-        assert len(result.sweep_residual_norms) == result.sweeps_used + 1
-        assert result.sweep_residual_norms[-1] < result.sweep_residual_norms[-2]
+        # the second input's third sweep changes no slot, a fixed point that
+        # ends its warm-up before the sweep cap
+        cases = [
+            (draw_model(3, 128, math.pi / 128, "freq", seed=8), gaussian_matrix(64, 128, seed=9)),
+            (draw_model(2, 64, math.pi / 64, "sinu", seed=34), subsampling_matrix(64, 64, seed=34)),
+        ]
+        for truth, phi in cases:
+            result = recover(phi, measure(phi, synthesize(truth)), RecoveryConfig(k=truth.k))
+            assert result.stop_reason == "polished"
+            assert result.sweeps_used <= RecoveryConfig.max_sweeps
+            assert len(result.sweep_residual_norms) == result.sweeps_used + 1
+            assert result.sweep_residual_norms[-1] < result.sweep_residual_norms[-2]
+        assert result.sweeps_used == 3
+        assert result.sweep_residual_norms[1] == result.sweep_residual_norms[2]
 
-    def test_converged_warm_up_with_refused_polish(self):
-        # one noiseless tone: the second sweep repeats the first, and the
-        # estimator's fit leaves the polish nothing to lower
+    def test_converged_warm_up_with_refused_polish(self, monkeypatch):
+        # one tone: the second sweep repeats the first, a fixed point, and
+        # a polish that fits nothing is refused
         phi = gaussian_matrix(32, 64, seed=5)
         model = SignalModel((SinusoidParams(1.2, 1.0, 0.3),), 64)
+        monkeypatch.setattr(recovery, "_polish", lambda _, mv, w: (w, np.zeros(2 * w.size)))
         result = recover(phi, measure(phi, synthesize(model)), RecoveryConfig(k=1))
         assert (result.stop_reason, result.sweeps_used) == ("converged", 2)
         assert len(result.sweep_residual_norms) == 2
