@@ -9,6 +9,7 @@ or spec error, 2 dimension/validation error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -98,16 +99,12 @@ def cmd_recover(args) -> int:
     result = recover(phi, meas, RecoveryConfig(k=args.k))
 
     payload = {
-        "model": result.model.to_dict(),
-        "sweeps_used": result.sweeps_used,
-        "stop_reason": result.stop_reason,
-        "final_residual_norm": result.final_residual_norm,
-        "sweep_residual_norms": list(result.sweep_residual_norms),
-        "config": {
-            "k": args.k,
-            "matrix": phi.provenance(),
-        },
+        key: list(value) if isinstance(value, tuple) else value
+        for key, value in dataclasses.asdict(result).items()
+        if key != "signal"
     }
+    payload["model"] = result.model.to_dict()
+    payload["config"] = {"k": args.k, "matrix": phi.provenance()}
     if args.truth is not None:
         truth = _read_value_csv(args.truth)
         payload["nl2_error"] = normalized_l2_error(truth, result.signal)

@@ -42,9 +42,6 @@ SINU_PRESET = "sinu"  # random amplitudes and phases
 # stays comparable with the unit-amplitude preset.
 SINU_AMP_RANGE = (0.5, 1.5)
 
-# Rejection-sampling budget of draw_model.
-_MAX_DRAWS = 1_000_000
-
 
 def canonical_phase(phase: float) -> float:
     """Map an angle in radians to the interval (-pi, pi]."""
@@ -234,8 +231,9 @@ def add_noise(s: np.ndarray, spec: NoiseSpec) -> np.ndarray:
 def _check_draw(k: int, min_sep: float, preset: str) -> None:
     """Raise ValueError unless ``draw_model`` can draw with these settings.
 
-    K tones in (min_sep, pi - min_sep) with gaps of at least ``min_sep``
-    need (k + 1) * min_sep < pi, which a NaN ``min_sep`` fails.
+    ``draw_model`` draws K points on (min_sep, pi - k * min_sep), so
+    the condition (k + 1) * min_sep < pi says that this range is not
+    empty; a NaN ``min_sep`` fails it.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -256,34 +254,25 @@ def draw_model(
 ) -> SignalModel:
     """Draw a random K-component model with well-separated frequencies.
 
-    Frequencies are uniform on (min_sep, pi - min_sep), redrawn until every
-    pairwise gap is at least ``min_sep`` (rejection sampling).  The "freq"
-    preset uses unit amplitudes and zero phases; "sinu" draws amplitudes
-    uniformly from [0.5, 1.5] and phases uniformly from (-pi, pi].
+    Frequencies are uniform on (min_sep, pi - min_sep) subject to every
+    pairwise gap being at least ``min_sep``, drawn in one pass: K sorted
+    uniform points on (min_sep, pi - k * min_sep), the i-th (from 0) shifted
+    up by i * min_sep, which maps the shortened range's sorted draws one to
+    one onto the admissible sets and keeps volumes.  The "freq" preset uses
+    unit amplitudes and zero phases; "sinu" draws amplitudes uniformly from
+    [0.5, 1.5] and phases uniformly from (-pi, pi].
 
     Raises
     ------
     ValueError
         If ``_check_draw`` refuses k, ``min_sep`` or the preset.
-    RuntimeError
-        If no admissible draw is found within ``_MAX_DRAWS`` attempts.
     """
     _check_draw(k, min_sep, preset)
     preset = preset.lower()
 
     rng = np.random.default_rng(seed)
-    lo, hi = min_sep, math.pi - min_sep
-    omegas = None
-    for _ in range(_MAX_DRAWS):
-        cand = np.sort(rng.uniform(lo, hi, size=k))
-        if k == 1 or (np.min(np.diff(cand)) >= min_sep and np.all(np.diff(cand) > 0)):
-            omegas = cand
-            break
-    if omegas is None:
-        raise RuntimeError(
-            f"no frequency set with pairwise separation >= {min_sep:.6g} found in "
-            f"{_MAX_DRAWS} draws (k={k}, range=({lo:.6g}, {hi:.6g}))"
-        )
+    hi = math.pi - k * min_sep
+    omegas = np.sort(rng.uniform(min_sep, hi, size=k)) + min_sep * np.arange(k)
 
     if preset == FREQ_PRESET:
         amps = np.ones(k)

@@ -2,7 +2,9 @@
 
 import json
 import stat
+import time
 
+import numpy as np
 import pytest
 
 from cstones.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, _build_parser, main
@@ -63,6 +65,25 @@ class TestSynth:
         assert code == EXIT_VALIDATION
         assert "error: infeasible separation" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.filterwarnings("ignore:underdetermined recovery")
+    def test_tight_but_meetable_separation_runs_at_once(self, tmp_path):
+        # 4 * 0.785 < pi: rejection sampling would accept one draw in ~1e9
+        start = time.perf_counter()
+        code = run_cli(
+            "synth", "--k", "3", "--n", "16", "--min-sep", "0.785",
+            "--out-signal", str(tmp_path / "s.csv"),
+            "--out-model", str(tmp_path / "m.json"),
+        )
+        assert code == EXIT_OK
+        model = SignalModel.from_json((tmp_path / "m.json").read_text())
+        assert np.min(np.diff(model.frequencies)) >= 0.785
+        code = run_cli(
+            "sweep", "--k", "3", "--n", "16", "--values", "8", "--trials", "1",
+            "--min-sep", "0.785", "--out-prefix", str(tmp_path / "sweep"),
+        )
+        assert code == EXIT_OK
+        assert time.perf_counter() - start < 2.0
 
     def test_optional_measurement_output(self, tmp_path):
         meas = tmp_path / "meas.csv"

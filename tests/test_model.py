@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from cstones import model as model_module
 from cstones.model import (
     FREQ_PRESET,
     SINU_PRESET,
@@ -208,8 +207,34 @@ class TestDrawModel:
             with pytest.raises(ValueError, match="infeasible separation"):
                 draw_model(k, 128, min_sep, preset=FREQ_PRESET, seed=0)
 
-    def test_rejection_budget_diagnostic(self, monkeypatch):
-        # a feasible but tight separation that 200 draws do not meet
-        monkeypatch.setattr(model_module, "_MAX_DRAWS", 200)
-        with pytest.raises(RuntimeError, match="200 draws"):
-            draw_model(3, 128, math.pi / 4.05, preset=FREQ_PRESET, seed=0)
+    def test_one_pass_draw_matches_rejection_law(self):
+        # reference: uniform draws on (min_sep, pi - min_sep), sorted, kept
+        # when every gap is at least min_sep (acceptance rate 0.2^3 here)
+        k, min_sep = 3, math.pi / 4.5
+        rng = np.random.default_rng(2024)
+        kept = []
+        for _ in range(4):
+            cand = np.sort(rng.uniform(min_sep, math.pi - min_sep, size=(500_000, k)), axis=1)
+            kept.append(cand[np.all(np.diff(cand, axis=1) >= min_sep, axis=1)])
+        reference = np.concatenate(kept)
+        assert len(reference) > 15_000
+        drawn = np.array([draw_model(k, 128, min_sep, seed=s).frequencies for s in range(5000)])
+        q = np.linspace(0.05, 0.95, 19)
+        # these seeds read 4.5e-3; a range 0.01 rad too short reads 1.1e-2
+        gap = np.abs(np.quantile(drawn, q, axis=0) - np.quantile(reference, q, axis=0))
+        assert np.max(gap) < 8e-3
+
+    def test_single_tone_draw_is_one_uniform_number(self):
+        min_sep = math.pi / 32
+        for seed in range(20):
+            expected = np.random.default_rng(seed).uniform(min_sep, math.pi - min_sep)
+            model = draw_model(1, 32, min_sep, preset=FREQ_PRESET, seed=seed)
+            assert model.frequencies[0] == expected
+
+    def test_tight_separation_draws_at_once(self):
+        # rejection sampling would accept one draw in ~7e4 here
+        min_sep = math.pi / 4.05
+        for seed in range(128):
+            omegas = draw_model(3, 128, min_sep, preset=FREQ_PRESET, seed=seed).frequencies
+            assert np.min(np.diff(omegas)) >= min_sep
+            assert min_sep <= omegas[0] and omegas[-1] < math.pi - min_sep

@@ -177,7 +177,7 @@ class TestRecover:
         # ends its warm-up before the sweep cap
         cases = [
             (draw_model(3, 128, math.pi / 128, "freq", seed=8), gaussian_matrix(64, 128, seed=9)),
-            (draw_model(2, 64, math.pi / 64, "sinu", seed=34), subsampling_matrix(64, 64, seed=34)),
+            (draw_model(2, 64, math.pi / 64, "sinu", seed=106), subsampling_matrix(64, 64, seed=106)),
         ]
         for truth, phi in cases:
             result = recover(phi, measure(phi, synthesize(truth)), RecoveryConfig(k=truth.k))
