@@ -1,9 +1,12 @@
-"""Command-line front end: fixture synthesis, single-shot recovery, timing
-benchmarks, and Monte Carlo sweeps.
+"""Command-line front end: fixture synthesis, single-shot recovery, Monte
+Carlo sweeps, and timing benchmarks.
 
 Sensing matrices are always passed as a (kind, m, n, seed) tuple and
-regenerated on demand, never serialized dense.  Exit codes: 0 success, 1 I/O
-or spec error, 2 dimension/validation error.
+regenerated on demand, never serialized dense.  ``bench`` is a one-value
+``m`` sweep at ``--m``: it takes the sweep's operating-point flags (with 5
+trials and all three methods by default) and prints each method's summary
+cell.  Exit codes: 0 success, 1 I/O or spec error (``sweep`` or ``bench``),
+2 dimension/validation error.
 """
 
 from __future__ import annotations
@@ -91,12 +94,7 @@ def cmd_recover(args) -> int:
     """Recover k sinusoids from a measurement file and a matrix tuple."""
     values = _read_value_csv(args.measurement)
     phi = matrix_from_kind(args.matrix_kind, args.m, args.n, args.matrix_seed)
-    if values.size != phi.m_rows:
-        raise ValueError(
-            f"measurement has {values.size} entries but the matrix tuple says m={args.m}"
-        )
-    meas = Measurement(values=values)
-    result = recover(phi, meas, RecoveryConfig(k=args.k))
+    result = recover(phi, Measurement(values=values), RecoveryConfig(k=args.k))
 
     payload = {
         key: list(value) if isinstance(value, tuple) else value
@@ -114,31 +112,31 @@ def cmd_recover(args) -> int:
     return EXIT_OK
 
 
-def _build_spec(args) -> ExperimentSpec:
-    if args.paper_scale:
-        values = [float(v) for v in PAPER_SCALE_M_VALUES]
-        trials = PAPER_SCALE_TRIALS
-        axis = "m"
-    else:
-        if args.values is None:
+def _spec_or_error(args, axis, values, trials, min_sep=None) -> ExperimentSpec | None:
+    """The experiment ``sweep`` or ``bench`` runs, or None after printing why
+    no trial can run (a spec error, exit 1).  ``values`` are the sweep values
+    as numbers or strings; None means ``--values`` was not given.
+    """
+    try:
+        if values is None:
             raise ValueError("--values is required unless --paper-scale is given")
-        values = [float(v) for v in args.values.split(",")]
-        trials = args.trials
-        axis = args.axis
-    return ExperimentSpec(
-        sweep_axis=axis,
-        sweep_values=tuple(sorted(values)),
-        n=args.n,
-        k=args.k,
-        preset=args.preset,
-        matrix_kind=args.matrix_kind,
-        fixed_m=args.m,
-        fixed_snr_db=args.snr,
-        trials=trials,
-        base_seed=args.seed,
-        methods=tuple(args.methods.split(",")),
-        min_sep=args.min_sep,
-    )
+        return ExperimentSpec(
+            sweep_axis=axis,
+            sweep_values=tuple(sorted(float(v) for v in values)),
+            n=args.n,
+            k=args.k,
+            preset=args.preset,
+            matrix_kind=args.matrix_kind,
+            fixed_m=args.m,
+            fixed_snr_db=args.snr,
+            trials=trials,
+            base_seed=args.seed,
+            methods=tuple(args.methods.split(",")),
+            min_sep=min_sep,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
 
 
 def cmd_sweep(args) -> int:
@@ -147,10 +145,13 @@ def cmd_sweep(args) -> int:
     Any validation problem here is a spec error (exit 1); per-trial method
     failures are recorded in the rows and do not change the exit code.
     """
-    try:
-        spec = _build_spec(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    if args.paper_scale:
+        axis, values, trials = "m", PAPER_SCALE_M_VALUES, PAPER_SCALE_TRIALS
+    else:
+        values = None if args.values is None else args.values.split(",")
+        axis, trials = args.axis, args.trials
+    spec = _spec_or_error(args, axis, values, trials, args.min_sep)
+    if spec is None:
         return EXIT_IO
     if args.dry_run:
         print(json.dumps(spec.to_dict(), indent=2, sort_keys=True))
@@ -165,22 +166,13 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    """Time each method at a single operating point and print its sweep summary cell."""
-    spec = ExperimentSpec(
-        sweep_axis="m",
-        sweep_values=(float(args.m),),
-        n=args.n,
-        k=args.k,
-        preset=args.preset,
-        matrix_kind=args.matrix_kind,
-        fixed_snr_db=args.snr,
-        trials=args.trials,
-        base_seed=args.seed,
-        methods=tuple(args.methods.split(",")),
-    )
+    """Time each method at one operating point, a one-value ``m`` sweep at
+    ``--m``, and print each method's sweep summary cell."""
+    spec = _spec_or_error(args, "m", (args.m,), args.trials)
+    if spec is None:
+        return EXIT_IO
     result = run_experiment(spec, workers=args.threads)
-    cell = next(iter(result.summary.values()))
-    print(json.dumps(cell, indent=2, sort_keys=True))
+    print(json.dumps(next(iter(result.summary.values())), indent=2, sort_keys=True))
     return EXIT_OK
 
 
@@ -205,6 +197,19 @@ def _add_matrix_args(parser, require_m: bool) -> None:
         default=None if require_m else 64,
         help="measurement count M",
     )
+
+
+def _add_experiment_args(parser, trials: int, methods: str) -> None:
+    """The operating-point flags ``sweep`` and ``bench`` share, with the command's defaults."""
+    parser.add_argument("--trials", type=_positive_int, default=trials)
+    parser.add_argument("--k", type=_positive_int, default=3)
+    parser.add_argument("--n", type=_positive_int, default=128)
+    parser.add_argument("--preset", choices=("freq", "sinu"), default="freq")
+    parser.add_argument("--snr", type=float, default=None, help="fixed SNR for m sweeps (default noiseless)")
+    parser.add_argument("--seed", type=int, default=0, help="base of every model, noise and matrix seed")
+    parser.add_argument("--methods", default=methods, help=f"comma list of {METHOD_MDS},{METHOD_ORACLE},{METHOD_BOMP}")
+    parser.add_argument("--threads", type=_positive_int, default=1, help="worker pool size")
+    _add_matrix_args(parser, require_m=False)
 
 
 @functools.cache
@@ -250,32 +255,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("--axis", choices=("m", "snr"), default="m")
     p_sweep.add_argument("--values", default=None, help="comma-separated sweep values")
-    p_sweep.add_argument("--trials", type=_positive_int, default=50)
-    p_sweep.add_argument("--k", type=_positive_int, default=3)
-    p_sweep.add_argument("--n", type=_positive_int, default=128)
-    p_sweep.add_argument("--preset", choices=("freq", "sinu"), default="freq")
-    p_sweep.add_argument("--snr", type=float, default=None, help="fixed SNR for m sweeps (default noiseless)")
     p_sweep.add_argument("--min-sep", type=float, default=None)
-    p_sweep.add_argument("--seed", type=int, default=0, help="base of every model, noise and matrix seed")
-    p_sweep.add_argument("--methods", default="mds", help=f"comma list of {METHOD_MDS},{METHOD_ORACLE},{METHOD_BOMP}")
-    p_sweep.add_argument("--threads", type=_positive_int, default=1, help="worker pool size")
     p_sweep.add_argument("--paper-scale", action="store_true", help="M = 15..65 step 5, 600 trials")
     p_sweep.add_argument("--svg", action="store_true", help="also write a line chart")
     p_sweep.add_argument("--dry-run", action="store_true", help="print the resolved spec and exit")
     p_sweep.add_argument("--out-prefix", default="sweep", help="output path prefix")
-    _add_matrix_args(p_sweep, require_m=False)
+    _add_experiment_args(p_sweep, trials=50, methods="mds")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_bench = sub.add_parser("bench", help="per-method timing at one operating point")
-    p_bench.add_argument("--k", type=_positive_int, default=3)
-    p_bench.add_argument("--n", type=_positive_int, default=128)
-    p_bench.add_argument("--trials", type=_positive_int, default=5)
-    p_bench.add_argument("--preset", choices=("freq", "sinu"), default="freq")
-    p_bench.add_argument("--snr", type=float, default=None)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--methods", default="mds,oracle,bomp")
-    p_bench.add_argument("--threads", type=_positive_int, default=1)
-    _add_matrix_args(p_bench, require_m=False)
+    _add_experiment_args(p_bench, trials=5, methods="mds,oracle,bomp")
     p_bench.set_defaults(func=cmd_bench)
 
     return parser

@@ -66,8 +66,9 @@ class ExperimentSpec:
     ``sweep_axis`` is "m" (vary measurement count, fixed SNR) or "snr"
     (vary SNR in dB, fixed measurement count).  ``fixed_snr_db`` of None
     means noiseless.  Sweep values must be strictly ascending.  The "mds"
-    method recovers ``k`` components with ``RecoveryConfig(k)``.  A spec
-    that no trial can run is rejected: 2k > n, a ``min_sep`` or preset
+    method recovers ``k`` components with ``RecoveryConfig(k)``.  A
+    ``min_sep`` of None is stored as its default, pi / n.  A spec that no
+    trial can run is rejected: 2k > n, a k, ``min_sep`` or preset
     ``draw_model`` refuses, or a measurement count not an integer in 1..n
     or an SNR ``NoiseSpec`` refuses (the sweep values or the fixed value).
     """
@@ -101,28 +102,23 @@ class ExperimentSpec:
                 raise ValueError(f"unknown method {meth!r}; known: {_KNOWN_METHODS}")
         if self.matrix_kind not in (GAUSSIAN, SUBSAMPLING):
             raise ValueError(f"unknown matrix kind {self.matrix_kind!r}")
-        RecoveryConfig(self.k)  # raises on an invalid k
         if 2 * self.k > self.n:
             raise ValueError(f"need 2k <= n for an identifiable model, got k={self.k}, n={self.n}")
-        _check_draw(self.k, self.resolved_min_sep, self.preset)
         for m in self.sweep_values if self.sweep_axis == AXIS_M else (self.fixed_m,):
             if not (float(m).is_integer() and 1 <= m <= self.n):
                 raise ValueError(f"measurement count {m} is not an integer in 1..n={self.n}")
+        if self.min_sep is None:  # n >= 1 here: some measurement count lies in 1..n
+            object.__setattr__(self, "min_sep", math.pi / self.n)
+        _check_draw(self.k, self.min_sep, self.preset)
         for snr in self.sweep_values if self.sweep_axis == AXIS_SNR else (self.fixed_snr_db,):
             NoiseSpec(snr)  # raises on a non-finite SNR
 
-    @property
-    def resolved_min_sep(self) -> float:
-        return self.min_sep if self.min_sep is not None else math.pi / self.n
-
     def to_dict(self) -> dict:
-        """Every field, tuples as lists, with ``min_sep`` resolved."""
-        record = {
+        """Every field, tuples as lists; ``ExperimentSpec(**d)`` rebuilds the spec."""
+        return {
             key: list(value) if isinstance(value, tuple) else value
             for key, value in asdict(self).items()
         }
-        record["min_sep"] = self.resolved_min_sep
-        return record
 
 
 @dataclass(frozen=True)
@@ -210,9 +206,7 @@ def _mix_seed(base: int, trial: int, sweep_value: float | None = None) -> int:
 def _run_cell(spec: ExperimentSpec, sweep_value: float, trial: int) -> list[TrialResult]:
     """Run every method for one (sweep value, trial) cell."""
     model_seed = _mix_seed(spec.base_seed, trial)
-    model = draw_model(
-        spec.k, spec.n, spec.resolved_min_sep, preset=spec.preset, seed=model_seed
-    )
+    model = draw_model(spec.k, spec.n, spec.min_sep, preset=spec.preset, seed=model_seed)
     s = synthesize(model)
     snr = sweep_value if spec.sweep_axis == AXIS_SNR else spec.fixed_snr_db
     noise_seed = _mix_seed(spec.base_seed ^ _NOISE_SALT, trial)
@@ -260,10 +254,9 @@ def _apply_method(method, spec, phi, meas, model):
     if method == METHOD_ORACLE:
         fitted = oracle_ls(phi, meas, model.frequencies)
         return synthesize(fitted), fitted.frequencies
-    if method == METHOD_BOMP:
-        fitted = bomp_recover(phi, meas, spec.k)
-        return synthesize(fitted), fitted.frequencies
-    raise ValueError(f"unknown method {method!r}")
+    # METHOD_BOMP, the one method left: ExperimentSpec accepts no other
+    fitted = bomp_recover(phi, meas, spec.k)
+    return synthesize(fitted), fitted.frequencies
 
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:

@@ -213,6 +213,22 @@ class TestRecover:
         assert any("underdetermined" in str(w.message) for w in recwarn.list)
 
 
+SPEC_ERRORS = {  # sweep flags of a spec that no trial can run
+    "2k_over_n": ("--k", "9", "--n", "16", "--values", "8"),
+    "m_over_n": ("--k", "1", "--n", "16", "--values", "8,17"),
+    "snr_fixed_m_over_n": ("--axis", "snr", "--k", "1", "--n", "16", "--values", "20", "--m", "17"),
+    "m_not_integral": ("--values", "16.5"),
+    "snr_nan": ("--axis", "snr", "--k", "3", "--n", "16", "--m", "8", "--values", "nan"),
+    "fixed_snr_nan": ("--k", "3", "--n", "16", "--values", "8", "--snr", "nan"),
+    "min_sep_nan": ("--k", "3", "--n", "16", "--values", "8", "--min-sep", "nan"),
+    "min_sep_negative": ("--k", "3", "--n", "16", "--values", "8", "--min-sep", "-1"),
+    "min_sep_infeasible": ("--k", "3", "--n", "16", "--values", "8", "--min-sep", "2.0"),
+    "unknown_method": ("--k", "1", "--n", "16", "--values", "8", "--methods", "mds,sdp"),
+}
+# the cases a bench can state: an m sweep without --min-sep
+BENCH_SPEC_ERRORS = ("2k_over_n", "m_over_n", "fixed_snr_nan", "unknown_method")
+
+
 class TestSweep:
     def test_cardinality_and_outputs(self, tmp_path):
         prefix = tmp_path / "sweep"
@@ -253,30 +269,25 @@ class TestSweep:
         assert code == EXIT_IO
 
     @pytest.mark.parametrize(
-        "flags",
-        [
-            ("--k", "9", "--n", "16", "--values", "8"),
-            ("--k", "1", "--n", "16", "--values", "8,17"),
-            ("--axis", "snr", "--k", "1", "--n", "16", "--values", "20", "--m", "17"),
-            ("--values", "16.5"),
-            ("--axis", "snr", "--k", "3", "--n", "16", "--m", "8", "--values", "nan"),
-            ("--k", "3", "--n", "16", "--values", "8", "--snr", "nan"),
-            ("--k", "3", "--n", "16", "--values", "8", "--min-sep", "nan"),
-            ("--k", "3", "--n", "16", "--values", "8", "--min-sep", "-1"),
-            ("--k", "3", "--n", "16", "--values", "8", "--min-sep", "2.0"),
-        ],
-        ids=[
-            "2k_over_n", "m_over_n", "snr_fixed_m_over_n", "m_not_integral", "snr_nan",
-            "fixed_snr_nan", "min_sep_nan", "min_sep_negative", "min_sep_infeasible",
-        ],
+        "mode, name",
+        [pytest.param(mode, name, id=f"{mode}-{name}")
+         for mode in ("dry_run", "run") for name in SPEC_ERRORS]
+        + [pytest.param("bench", name, id=f"bench-{name}") for name in BENCH_SPEC_ERRORS],
     )
-    @pytest.mark.parametrize("dry_run", [True, False], ids=["dry_run", "run"])
-    def test_spec_no_trial_can_run_is_spec_error(self, tmp_path, capsys, flags, dry_run):
-        argv = ["sweep", *flags, "--trials", "1", "--out-prefix", str(tmp_path / "x")]
-        code = run_cli(*argv, *(["--dry-run"] if dry_run else []))
-        assert code == EXIT_IO
+    def test_spec_no_trial_can_run_is_spec_error(self, tmp_path, capsys, mode, name):
+        # a bench is a one-value m sweep at --m (here the sweep's last value),
+        # so it exits with the same spec error
+        flags = SPEC_ERRORS[name]
+        if mode == "bench":
+            at = flags.index("--values")
+            argv = ["bench", *flags[:at], "--m", flags[at + 1].split(",")[-1], *flags[at + 2:]]
+        else:
+            argv = ["sweep", *flags, "--out-prefix", str(tmp_path / "x")]
+            argv += ["--dry-run"] if mode == "dry_run" else []
+        assert run_cli(*argv, "--trials", "1") == EXIT_IO
         captured = capsys.readouterr()
-        assert captured.out == "" and "error:" in captured.err
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert not list(tmp_path.glob("x.*"))
 
     def test_config_file_with_flag_override(self, tmp_path):
@@ -354,7 +365,8 @@ class TestBench:
         # bench prints, per method, exactly the record a sweep's summary
         # JSON holds for the same operating point
         common = ("--k", "2", "--n", "32", "--m", "24", "--trials", "2", "--seed", "9",
-                  "--methods", "mds,oracle,bomp")
+                  "--methods", "mds,oracle,bomp", "--preset", "sinu", "--snr", "20",
+                  "--matrix-kind", "subsampling")
         assert run_cli("bench", *common) == EXIT_OK
         table = json.loads(capsys.readouterr().out)
         prefix = tmp_path / "one"
@@ -366,6 +378,23 @@ class TestBench:
             assert {"median_error", "failures"} <= set(row)
             for key in ("mean_error", "median_error", "trials", "failures"):
                 assert row[key] == cell[meth][key], (meth, key)
+
+
+SHARED_FLAGS = (
+    "--trials", "--k", "--n", "--preset", "--snr", "--seed", "--methods", "--threads",
+    "--matrix-kind", "--m",
+)
+
+
+@pytest.mark.parametrize("command", ["synth", "recover", "sweep", "bench"])
+def test_help_exits_0(capsys, command):
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli(command, "--help")
+    assert excinfo.value.code == EXIT_OK
+    text = capsys.readouterr().out
+    if command in ("sweep", "bench"):
+        for flag in SHARED_FLAGS:
+            assert f"{flag} " in text, flag
 
 
 @pytest.mark.parametrize(

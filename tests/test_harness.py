@@ -165,6 +165,13 @@ class TestExperimentSpec:
         assert d["min_sep"] == math.pi / spec.n
         assert small_spec(min_sep=0.25).to_dict()["min_sep"] == 0.25
 
+    @pytest.mark.parametrize("min_sep", [None, 0.25])
+    def test_to_dict_rebuilds_the_same_spec(self, min_sep):
+        # a summary JSON's "spec" block reruns the identical experiment
+        spec = small_spec(min_sep=min_sep, fixed_snr_db=20.0)
+        assert ExperimentSpec(**spec.to_dict()) == spec
+        assert ExperimentSpec(**json.loads(json.dumps(spec.to_dict()))) == spec
+
 
 class TestRunExperiment:
     def test_single_trial_mean_equals_row(self):
