@@ -1,13 +1,15 @@
 """
-Recovering K sinusoids: cyclic warm-up, then a joint polish
-===========================================================
+Recovering K sinusoids: cyclic sweeps, each followed by a joint polish
+=====================================================================
 
 The recoverer keeps K per-component estimates and sweeps over them in
-order, at most four times: each component is re-estimated against the
-measurement with the other components' contributions subtracted, and the
-measurement-domain residual is non-increasing across sweeps.  One joint
-polish then refines all K frequencies at once, with the amplitudes fitted
-by least squares, and is kept only if it lowers the residual further.
+order: each component is re-estimated against the measurement with the
+other components' contributions subtracted, and the measurement-domain
+residual is non-increasing.  After each sweep one joint polish refines all
+K frequencies at once, with the amplitudes fitted by least squares, and is
+kept only if it lowers the residual.  The recovery stops when a kept
+polish fits the measurement exactly, when a sweep changes no component, or
+after four sweeps.
 """
 
 import math
@@ -41,10 +43,15 @@ pairs, errors = match_frequencies(truth.frequencies, result.model.frequencies)
 print("per-tone frequency errors:", [f"{e:.2e}" for e in errors])
 print(f"normalized l2 error: {normalized_l2_error(x, result.signal):.3e}")
 
-print(f"\n{result.sweeps_used} warm-up sweeps, stop reason {result.stop_reason!r}; residuals:")
-for i, norm in enumerate(result.sweep_residual_norms, start=1):
-    step = f"sweep {i}" if i <= result.sweeps_used else "polish "
-    print(f"  {step}: ||m - Phi s_hat|| = {norm:.3e}")
+# The record holds one residual per sweep and one per kept polish, in the
+# order they ran, so the polishes kept are the entries beyond the sweeps.
+norms = result.sweep_residual_norms
+print(
+    f"\n{result.sweeps_used} sweep(s) and {len(norms) - result.sweeps_used} kept "
+    f"polish(es), stop reason {result.stop_reason!r}; residual after each, in order:"
+)
+for norm in norms:
+    print(f"  ||m - Phi s_hat|| = {norm:.3e}")
 
 # The same pipeline degrades gracefully under noise; errors track the SNR.
 from cstones import NoiseSpec, add_noise

@@ -1,27 +1,27 @@
-"""Recovery of K sinusoids from compressed measurements: a short cyclic
-warm-up, then one joint polish of all K frequencies.
+"""Recovery of K sinusoids from compressed measurements: rounds of one
+cyclic warm-up sweep and one joint polish of all K frequencies.
 
-The recoverer keeps K component slots, initially empty.  Each warm-up sweep
-visits the slots in index order; for slot i it forms the residual
-measurement
+The recoverer keeps K component slots, initially empty.  Each sweep visits
+the slots in index order; for slot i it forms the residual measurement
 
     r = m - sum_{j != i} Phi @ s_j
 
 where s_j are the samples of slot j, and replaces slot i with the single
-best-matching sinusoid for r.  A replacement is only accepted if it does not
-increase the total measurement residual, which keeps the per-sweep residual
-norms non-increasing.  The warm-up stops after ``RecoveryConfig.max_sweeps``
-sweeps, or earlier at a fixed point: a sweep that changes no slot, since
-the next one would repeat it bit for bit.
+best-matching sinusoid for r.  A replacement is only accepted if it lowers
+the slot's squared residual by more than the polish's rounding slack, which
+keeps the residual norms non-increasing and a polished fit in place.
 
-Cyclic descent converges only linearly, so the warm-up merely lands every
-slot in its basin, and each of its estimates stops after three Newton
-steps (as Newtonized OMP does before its joint refinement: Mamandipoor,
-Ramasamy & Madhow 2016).  The polish then minimizes
-||m - A(w) c|| over all K frequencies w at once, with the 2K linear
-amplitudes c projected out by least squares (variable projection, Golub &
-Pereyra 1973), by Levenberg-Marquardt steps on Kaufman's Jacobian.  It is
-kept only if it lowers the measurement residual.
+Cyclic descent converges only linearly, so a sweep merely lands every slot
+in its basin, and each of its estimates stops after three Newton steps.
+The polish that follows each sweep minimizes ||m - A(w) c|| over all K
+frequencies w at once, with the 2K linear amplitudes c projected out by
+least squares (variable projection, Golub & Pereyra 1973), by
+Levenberg-Marquardt steps on Kaufman's Jacobian; it is kept only if it
+lowers the measurement residual.  This is Newtonized OMP's order, detection
+then joint refinement (Mamandipoor, Ramasamy & Madhow 2016).  The rounds
+stop after ``RecoveryConfig.max_sweeps`` sweeps, at a sweep that changes no
+slot (the next one would repeat it bit for bit), or at a kept polish that
+fits m exactly (residual at most _CERTIFIED_FIT ||m||).
 """
 
 from __future__ import annotations
@@ -56,16 +56,20 @@ _POLISH_MAX_TRIALS = 30
 # Gauss-Newton step, taken from the gradient, still points the right way
 # when the change in ||e||^2 is lost in rounding.
 _POLISH_COST_SLACK = 1e-13
+# A kept polish whose residual is at most this fraction of ||m|| certifies
+# an exact fit and ends the recovery: in every noiseless draw measured, an
+# exact fit was a success.
+_CERTIFIED_FIT = 1e-10
 
 
 @dataclass(frozen=True)
 class RecoveryConfig:
     """The recovery's one setting, ``k``: the number of sinusoids to fit.
 
-    ``max_sweeps`` is a class constant, not a field: the number of cyclic
-    warm-up sweeps before the joint polish.  Four land the slots in their
-    basins at the flagship operating point and at low M, where one does
-    not.
+    ``max_sweeps`` is a class constant, not a field: the most cyclic sweeps
+    a recovery runs, each followed by one joint polish.  Noiseless inputs
+    usually stop at the first polish's exact fit and noisy ones at their
+    second sweep; the cap bounds the low-M inputs that do neither.
     """
 
     k: int
@@ -81,13 +85,14 @@ class RecoveryResult:
     """Recovered model plus convergence bookkeeping.
 
     ``signal`` is exactly ``synthesize(model)``.  ``sweeps_used`` counts
-    the cyclic warm-up sweeps, and ``sweep_residual_norms`` holds the
-    measurement-domain residual norm at the end of each, plus one last
-    entry for the joint polish when it is kept (a non-increasing
-    sequence).  ``stop_reason`` is ``"zero_input"`` for a zero
-    measurement, ``"polished"`` when the polish is kept, and otherwise
-    says how the warm-up ended: ``"converged"`` when its last sweep changed
-    no slot, or ``"sweep_cap"`` after ``RecoveryConfig.max_sweeps`` sweeps.
+    the cyclic sweeps only, so the recovery made k estimates per sweep.
+    ``sweep_residual_norms`` holds the measurement-domain residual norm
+    after each sweep and after each kept polish, in the order they ran (a
+    non-increasing sequence).  ``stop_reason`` is ``"zero_input"`` for a
+    zero measurement, ``"polished"`` when any polish was kept, and
+    otherwise says how the sweeps ended: ``"converged"`` when the last one
+    changed no slot, or ``"sweep_cap"`` after ``RecoveryConfig.max_sweeps``
+    sweeps.
     """
 
     model: SignalModel
@@ -183,6 +188,24 @@ def _polish(stacked: np.ndarray, mv: np.ndarray, omegas: np.ndarray):
     return omegas, coef
 
 
+def _kept_polish(
+    phi: SensingMatrix, mv: np.ndarray, params: list[SinusoidParams | None], resid: float
+):
+    """Polish ``params`` jointly against ``mv``, whose residual they leave at
+    ``resid``.  Returns the polished parameters, their measured components
+    and residual norm, or None when the polish cannot start (an empty slot
+    or an exact fit) or does not lower the residual.
+    """
+    omegas = np.array([math.nan if p is None else p.omega for p in params])
+    if not (resid > 0.0 and _admissible(omegas)):
+        return None
+    omegas, coef = _polish(_full_band(phi)[2], mv, omegas)
+    polished = list(_params_from_coef(omegas, coef))
+    measured = [phi.entries @ component_samples(p, phi.n_cols) for p in polished]
+    new_resid = float(np.linalg.norm(mv - sum(measured)))
+    return (polished, measured, new_resid) if new_resid < resid else None
+
+
 def recover(
     phi: SensingMatrix,
     m: Measurement,
@@ -195,11 +218,12 @@ def recover(
     exceeds the measurement count, i.e. more parameters than equations.
     Every warm-up estimate stops after _WARMUP_NEWTON_STEPS evaluations of
     s', and the joint polish owns the precision.  A zero measurement
-    returns the all-zero model immediately; the joint polish is skipped
-    when the warm-up leaves a slot empty or fits ``m`` exactly.  Scaling
-    ``m`` by a power of two scales the amplitudes, the signal and the
-    residual norms by it and changes nothing else, bit for bit, as long as
-    no result overflows or turns subnormal.
+    returns the all-zero model immediately.  A round's polish is skipped
+    when its sweep leaves a slot empty or fits ``m`` exactly, and a
+    certified exact fit is polished once more from its own output before
+    the recovery stops.  Scaling ``m`` by a power of two scales the
+    amplitudes, the signal and the residual norms by it and changes nothing
+    else, bit for bit, as long as no result overflows or turns subnormal.
     """
     if len(m.values) != phi.m_rows:
         raise ValueError(f"measurement length {len(m.values)} != matrix m={phi.m_rows}")
@@ -231,12 +255,13 @@ def recover(
 
     e = math.frexp(m_max)[1]
     mv = np.ldexp(m.values, -e)
+    certified = _CERTIFIED_FIT * float(np.linalg.norm(mv))
     params: list[SinusoidParams | None] = [None] * k
     measured = [np.zeros(phi.m_rows) for _ in range(k)]
     sweep_norms: list[float] = []
     stop_reason = "sweep_cap"
 
-    for _sweep in range(cfg.max_sweeps):
+    for sweeps_used in range(1, cfg.max_sweeps + 1):
         before = list(params)
         for i in range(k):
             r = mv - (sum(measured) - measured[i])
@@ -249,27 +274,31 @@ def recover(
             old_sq = float(np.sum((r - measured[i]) ** 2))
             new_sq = float(np.sum((r - cand_measured) ** 2))
             # Keep the old component when the estimator's grid happens to
-            # miss it; this is what makes sweeps monotone.
-            if new_sq <= old_sq:
+            # miss it, which makes sweeps monotone, and when the candidate
+            # gains only rounding noise, which keeps a polished fit.
+            if new_sq < old_sq * (1.0 - _POLISH_COST_SLACK):
                 params[i] = outcome.params
                 measured[i] = cand_measured
 
         sweep_norms.append(float(np.linalg.norm(mv - sum(measured))))
         if params == before:  # a fixed point: the next sweep would repeat this one
-            stop_reason = "converged"
+            if stop_reason != "polished":
+                stop_reason = "converged"
             break
-
-    sweeps_used = len(sweep_norms)
-    omegas = np.array([math.nan if p is None else p.omega for p in params])
-    if sweep_norms[-1] > 0.0 and _admissible(omegas):
-        omegas, coef = _polish(_full_band(phi)[2], mv, omegas)
-        polished = _params_from_coef(omegas, coef)
-        polished_measured = [phi.entries @ component_samples(p, n) for p in polished]
-        resid = float(np.linalg.norm(mv - sum(polished_measured)))
-        if resid < sweep_norms[-1]:
-            params = polished
-            sweep_norms.append(resid)
-            stop_reason = "polished"
+        kept = _kept_polish(phi, mv, params, sweep_norms[-1])
+        if kept is None:
+            continue
+        params, measured, resid = kept
+        sweep_norms.append(resid)
+        stop_reason = "polished"
+        if resid <= certified:
+            # An exact fit ends the recovery; one more polish from it
+            # lowers the noiseless error floor.
+            kept = _kept_polish(phi, mv, params, resid)
+            if kept is not None:
+                params, measured, resid = kept
+                sweep_norms.append(resid)
+            break
 
     params = [
         None if p is None else SinusoidParams(p.omega, math.ldexp(p.amplitude, e), p.phase)

@@ -1,5 +1,6 @@
-"""Tests for the recoverer: cyclic warm-up sweeps, then the joint polish."""
+"""Tests for the recoverer: rounds of a cyclic warm-up sweep and a joint polish."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from cstones.model import (
     SignalModel,
     SinusoidParams,
     add_noise,
+    component_samples,
     draw_model,
     synthesize,
 )
@@ -29,6 +31,18 @@ from cstones.sensing import (
 
 def identity_phi(n):
     return SensingMatrix(entries=np.eye(n), kind=SUBSAMPLING, seed=0)
+
+
+def traced_estimates(monkeypatch):
+    """Count recovery's estimator calls: one list entry, the step budget, per call."""
+    calls = []
+
+    def traced(*args, **kwargs):
+        calls.append(kwargs.get("newton_steps"))
+        return estimate_sinusoid(*args, **kwargs)
+
+    monkeypatch.setattr(recovery, "estimate_sinusoid", traced)
+    return calls
 
 
 class TestRecover:
@@ -53,13 +67,7 @@ class TestRecover:
         truth = draw_model(k, 128, math.pi / 128, "freq", seed=17)
         phi = gaussian_matrix(64, 128, seed=18)
         m = measure(phi, synthesize(truth))
-        budgets = []
-
-        def traced(*args, **kwargs):
-            budgets.append(kwargs.get("newton_steps"))
-            return estimate_sinusoid(*args, **kwargs)
-
-        monkeypatch.setattr(recovery, "estimate_sinusoid", traced)
+        budgets = traced_estimates(monkeypatch)
         result = recover(phi, m, RecoveryConfig(k=k))
         assert budgets == [recovery._WARMUP_NEWTON_STEPS] * (k * result.sweeps_used)
 
@@ -67,13 +75,7 @@ class TestRecover:
         # 2k > N admits no model: refused before any estimate runs
         phi = gaussian_matrix(16, 16, seed=19)
         m = Measurement(values=np.random.default_rng(20).normal(size=16))
-        calls = []
-
-        def traced(*args, **kwargs):
-            calls.append(args)
-            return estimate_sinusoid(*args, **kwargs)
-
-        monkeypatch.setattr(recovery, "estimate_sinusoid", traced)
+        calls = traced_estimates(monkeypatch)
         with pytest.raises(ValueError, match="2k <= n"):
             recover(phi, m, RecoveryConfig(9))
         assert calls == []
@@ -172,21 +174,110 @@ class TestRecover:
         post = np.linalg.norm(r - phi.entries @ estimates[1]) ** 2
         assert post <= out.residual_sq + 1e-9
 
-    def test_polish_kept_adds_one_norm_and_no_sweep(self):
-        # the second input's third sweep changes no slot, a fixed point that
-        # ends its warm-up before the sweep cap
+    def test_polish_kept_adds_one_norm_and_no_sweep(self, monkeypatch):
+        # every kept polish adds one residual norm and no sweep: the
+        # noiseless inputs certify after one sweep, and the noisy one runs
+        # sweep, polish, sweep
+        kept = []
+        kept_polish = recovery._kept_polish
+
+        def traced(*args):
+            out = kept_polish(*args)
+            kept.append(out is not None)
+            return out
+
+        monkeypatch.setattr(recovery, "_kept_polish", traced)
         cases = [
-            (draw_model(3, 128, math.pi / 128, "freq", seed=8), gaussian_matrix(64, 128, seed=9)),
-            (draw_model(2, 64, math.pi / 64, "sinu", seed=106), subsampling_matrix(64, 64, seed=106)),
+            (draw_model(3, 128, math.pi / 128, "freq", seed=8), gaussian_matrix(64, 128, seed=9), None),
+            (draw_model(2, 64, math.pi / 64, "sinu", seed=106), subsampling_matrix(64, 64, seed=106), None),
+            (
+                draw_model(3, 256, math.pi / 256, "sinu", seed=0),
+                subsampling_matrix(64, 256, seed=7),
+                NoiseSpec(snr_db=20.0, seed=1),
+            ),
         ]
-        for truth, phi in cases:
-            result = recover(phi, measure(phi, synthesize(truth)), RecoveryConfig(k=truth.k))
+        for truth, phi, noise in cases:
+            x = synthesize(truth)
+            if noise is not None:
+                x = add_noise(x, noise)
+            kept.clear()
+            result = recover(phi, measure(phi, x), RecoveryConfig(k=truth.k))
             assert result.stop_reason == "polished"
             assert result.sweeps_used <= RecoveryConfig.max_sweeps
-            assert len(result.sweep_residual_norms) == result.sweeps_used + 1
-            assert result.sweep_residual_norms[-1] < result.sweep_residual_norms[-2]
-        assert result.sweeps_used == 3
-        assert result.sweep_residual_norms[1] == result.sweep_residual_norms[2]
+            assert len(result.sweep_residual_norms) == result.sweeps_used + sum(kept)
+            assert result.sweep_residual_norms[1] < result.sweep_residual_norms[0]
+        assert (result.sweeps_used, sum(kept)) == (2, 1)
+
+    def test_certified_fit_stops_after_one_sweep(self, monkeypatch):
+        # a noiseless flagship-style input: the first polish fits m exactly,
+        # so no second sweep runs
+        truth = draw_model(3, 128, math.pi / 128, "freq", seed=8)
+        phi = gaussian_matrix(64, 128, seed=9)
+        m = measure(phi, synthesize(truth))
+        calls = traced_estimates(monkeypatch)
+        result = recover(phi, m, RecoveryConfig(k=3))
+        assert (result.stop_reason, result.sweeps_used, len(calls)) == ("polished", 1, 3)
+        bound = recovery._CERTIFIED_FIT * float(np.linalg.norm(m.values))
+        assert result.final_residual_norm <= bound
+
+    def test_noisy_input_ends_at_a_sweep_after_kept_polish(self, monkeypatch):
+        # 20 dB never certifies: sweep, kept polish, then a sweep that
+        # changes no slot ends the recovery after 2k estimates
+        truth = draw_model(3, 256, math.pi / 256, "sinu", seed=0)
+        x = add_noise(synthesize(truth), NoiseSpec(snr_db=20.0, seed=1))
+        phi = subsampling_matrix(64, 256, seed=7)
+        calls = traced_estimates(monkeypatch)
+        result = recover(phi, measure(phi, x), RecoveryConfig(k=3))
+        norms = result.sweep_residual_norms
+        assert (result.stop_reason, result.sweeps_used, len(calls)) == ("polished", 2, 6)
+        assert len(norms) == 3 and norms[0] > norms[1] == norms[2]
+        bound = recovery._CERTIFIED_FIT * float(np.linalg.norm(x))
+        assert result.final_residual_norm > bound
+
+    def test_warm_up_refuses_rounding_level_gain(self, monkeypatch):
+        # with the polish refused, the second sweep is offered each slot's
+        # first-sweep parameters moved by one ulp, whichever way lowers its
+        # squared residual; a gain below _POLISH_COST_SLACK is refused, so
+        # that sweep changes no slot
+        truth = draw_model(3, 128, math.pi / 128, "freq", seed=8)
+        phi = gaussian_matrix(64, 128, seed=9)
+        m = measure(phi, synthesize(truth))
+        first, gains = [], []
+
+        def sq(r, p):
+            return float(np.sum((r - phi.entries @ component_samples(p, 128)) ** 2))
+
+        def nudged(phi_, r, **kwargs):
+            if len(first) < 3:
+                first.append(estimate_sinusoid(phi_, r, **kwargs))
+                return first[-1]
+            own = first[len(gains) % 3]
+            p = own.params
+            moved = [
+                SinusoidParams(math.nextafter(p.omega, to), p.amplitude, p.phase)
+                for to in (0.0, math.pi)
+            ]
+            best = min(moved, key=lambda q: sq(r, q))
+            gains.append((sq(r, p), sq(r, best)))
+            return dataclasses.replace(own, params=best)
+
+        monkeypatch.setattr(recovery, "_polish", lambda _, mv, w: (w, np.zeros(2 * w.size)))
+        monkeypatch.setattr(recovery, "estimate_sinusoid", nudged)
+        result = recover(phi, m, RecoveryConfig(k=3))
+        assert any(new < old for old, new in gains)  # `new <= old` would take it
+        assert all(old - new < recovery._POLISH_COST_SLACK * old for old, new in gains)
+        assert (result.stop_reason, result.sweeps_used) == ("converged", 2)
+        assert [c.omega for c in result.model.components] == [o.params.omega for o in first]
+
+    def test_flagship_makes_three_estimates(self, monkeypatch):
+        # one sweep of k = 3 estimates per noiseless flagship-style recover
+        calls = traced_estimates(monkeypatch)
+        for t in range(20):
+            truth = draw_model(3, 128, math.pi / 128, "freq", seed=700 + t)
+            phi = gaussian_matrix(64, 128, seed=800 + t)
+            calls.clear()
+            recover(phi, measure(phi, synthesize(truth)), RecoveryConfig(k=3))
+            assert len(calls) == 3, t
 
     def test_converged_warm_up_with_refused_polish(self, monkeypatch):
         # one tone: the second sweep repeats the first, a fixed point, and
