@@ -51,9 +51,12 @@ def oracle_ls(phi: SensingMatrix, m: Measurement, true_frequencies) -> SignalMod
     Raises
     ------
     ValueError
-        On duplicate frequencies, 2K > M, or a rank-deficient atom stack.
+        On a frequency outside (0, pi) (NaN and inf included), duplicate
+        frequencies, 2K > M, or a rank-deficient atom stack.
     """
     freqs = [float(w) for w in true_frequencies]
+    if not all(0.0 < w < math.pi for w in freqs):
+        raise ValueError(f"frequencies must lie in (0, pi): {freqs}")
     if len(set(freqs)) != len(freqs):
         raise ValueError(f"frequencies must be distinct: {freqs}")
     if 2 * len(freqs) > phi.m_rows:
@@ -86,7 +89,8 @@ def grid_oracle_batch(
     ``_SCAN_CHUNK`` nodes; each chunk's measured pairs are orthonormalized,
     so scoring every residual column is two GEMMs and a sum of squares.
     Returns per-column arrays (omega, s_omega); the reported s_omega is
-    re-evaluated directly at the winning frequency.
+    re-evaluated directly at the winning frequency.  Raises ValueError on a
+    non-finite entry or an all-zero column.
     """
     if grid_size < 2:
         raise ValueError(f"grid_size must be >= 2, got {grid_size}")
@@ -95,8 +99,9 @@ def grid_oracle_batch(
         raise ValueError(
             f"residuals must be M x B with M={phi.m_rows}, got {residuals.shape}"
         )
-    norms_sq = np.einsum("ij,ij->j", residuals, residuals)
-    if np.any(norms_sq == 0.0):
+    if not np.all(np.isfinite(residuals)):
+        raise ValueError("residuals must be finite (no NaN or inf)")
+    if np.any(np.einsum("ij,ij->j", residuals, residuals) == 0.0):
         raise ValueError("zero residual column; nothing to scan")
 
     n_batch = residuals.shape[1]
@@ -130,28 +135,17 @@ def grid_oracle_batch(
     return best_omega, s_exact
 
 
-def _candidate_frequencies(oversampling: int, n: int) -> np.ndarray:
-    """The oversampled DFT grid w_i = i * 2*pi/(cN) restricted to [0, pi]:
-    the ``_dft_atoms`` bins i = 0..cN // 2.
-
-    For real signals the atom pair at w and 2*pi - w spans the same
-    subspace, so grid frequencies above pi are redundant.
-    """
-    length = oversampling * n
-    return np.arange(length // 2 + 1) * (2.0 * math.pi / length)
-
-
 def bomp_recover(phi: SensingMatrix, m: Measurement, k: int) -> SignalModel:
     """Band-excluded orthogonal matching pursuit for ``k`` sinusoids.
 
-    Candidate frequencies are the DFT grid oversampled 5 times, restricted
-    to [0, pi]; each candidate contributes the measured (sin, cos) pair so
-    all arithmetic stays real, and the whole table is one real FFT of each
-    row of Phi zero-padded to 5N.  After every selection the residual is
-    recomputed from a joint least-squares fit over all selected pairs, and
-    every candidate within pi/N of a selected frequency is excluded.  Each
-    pick excludes at most 5 of the 5N/2 + 1 candidates, so the grid always
-    outlasts the k <= N/2 picks a model admits.
+    Candidate frequencies are the bins of the 5N-point DFT in [0, pi], each
+    with its measured (cos, sin) pair so all arithmetic stays real; both
+    come from ``_dft_atoms``, one real FFT of each row of Phi zero-padded
+    to 5N.  After every selection the residual is recomputed from a joint
+    least-squares fit over all selected pairs, and every candidate within
+    pi/N of a selected frequency is excluded.  Each pick excludes at most 5
+    of the 5N/2 + 1 candidates, so the grid always outlasts the k <= N/2
+    picks a model admits.
 
     Raises
     ------
@@ -168,8 +162,7 @@ def bomp_recover(phi: SensingMatrix, m: Measurement, k: int) -> SignalModel:
     if k == 0:
         return SignalModel(components=(), n_samples=n)
 
-    cand = _candidate_frequencies(_BOMP_OVERSAMPLING, n)
-    w = _dft_atoms(phi.entries, _BOMP_OVERSAMPLING * n)  # w[:, i] is the pair at cand[i]
+    cand, w = _dft_atoms(phi.entries, _BOMP_OVERSAMPLING * n)  # w[:, i] is the pair at cand[i]
     q0, q1 = _orthonormal_pairs(w)
 
     allowed = np.ones(cand.size, dtype=bool)

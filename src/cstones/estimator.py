@@ -10,16 +10,19 @@ least-squares sense.  For a fixed frequency the optimal linear amplitudes
 solve a 2x2 normal system in closed form (``amplitude_ls``), leaving the
 attained error s(omega) a function of frequency alone.  One grid round over
 the N + 1 full-band nodes picks the best node; a bracketed Newton iteration
-on s' then polishes it to a fixed bracket width, ``_FREQ_TOL``.
+on s' then polishes it, to a bracket narrower than ``_FREQ_TOL`` unless a
+``newton_steps`` budget stops it first.
 
-Measured atoms for many frequencies come from one of two kernels.  A
-uniform DFT grid w_k = 2 pi k / L (the full band, L = 2N, and BOMP's
-oversampled grid) is one real FFT of each zero-padded row of Phi
-(``_dft_atoms``); arbitrary frequencies (the polish fits, ``oracle_ls``)
-take one GEMM on directly evaluated cos/sin samples (``_measured_atoms``),
-and the grid oracle rotates one such table (``_cis``) per chunk of its
-uniform scan.  All feed the pair bases of ``_orthonormal_pairs``, against
-which a residual is scored by its captured energy.
+A single frequency's atoms (``build_atoms``, the Newton step's
+``_s_derivatives``) come from ``sinusoid_samples``; many frequencies take
+one of two kernels.  A uniform DFT grid w_k = 2 pi k / L (the full band,
+L = 2N, and BOMP's oversampled grid) is one real FFT of each zero-padded
+row of Phi (``_dft_atoms``, which returns the bins too); arbitrary
+frequencies (the polish fits, ``oracle_ls``) take one GEMM on directly
+evaluated cos/sin samples (``_measured_atoms``), and the grid oracle
+rotates one such table (``_cis``) per chunk of its uniform scan.  All feed
+the pair bases of ``_orthonormal_pairs``, against which a residual is
+scored by its captured energy.
 """
 
 from __future__ import annotations
@@ -154,11 +157,13 @@ def _params_from_coef(frequencies, coef) -> tuple[SinusoidParams, ...]:
     )
 
 
-def _dft_atoms(phi_entries: np.ndarray, length: int) -> np.ndarray:
-    """Measured cos/sin atoms at w_k = 2 pi k / length, k = 0..length // 2
-    (M x (length // 2 + 1) x 2, planes as in ``_measured_atoms``).
+def _dft_atoms(phi_entries: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """The bins w_k = 2 pi k / length, k = 0..length // 2, and their measured
+    cos/sin atoms (M x (length // 2 + 1) x 2, planes as in ``_measured_atoms``).
 
-    Each row of Phi, zero-padded to ``length`` >= N + 1 columns with sample
+    The pair at 2 pi - w spans the pair at w's subspace, so bins past pi
+    are left out; for an even ``length`` the top bin is exactly pi.  Each
+    row of Phi, zero-padded to ``length`` >= N + 1 columns with sample
     t = 1..N at index t, has the DFT X_k = sum_t Phi[., t] exp(-i w_k t),
     so conj(X_k) = Phi @ cos(w_k t) + i Phi @ sin(w_k t): one real FFT per
     row (Cooley & Tukey 1965) gives the whole table in O(M L log L), and
@@ -169,7 +174,9 @@ def _dft_atoms(phi_entries: np.ndarray, length: int) -> np.ndarray:
     padded[:, 1 : n + 1] = phi_entries
     spectrum = np.fft.rfft(padded, axis=1)
     np.negative(spectrum.imag, out=spectrum.imag)  # conj without a second table
-    return spectrum.view(float).reshape(m, -1, 2)
+    top = length // 2
+    omegas = np.linspace(0.0, math.pi * (2 * top / length), top + 1)
+    return omegas, spectrum.view(float).reshape(m, -1, 2)
 
 
 def _orthonormal_pairs(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -209,15 +216,15 @@ def _full_band(phi: SensingMatrix):
     """The N + 1 nodes over [0, pi], their orthonormal pair tables (q0, q1)
     and the 3M x N derivative operator [Phi; Phi T; Phi T^2], T = diag(1..N).
 
-    The nodes are the bins of a 2N-point DFT, so their atoms come from
-    ``_dft_atoms``.  One product of the operator with sin/cos samples at a
+    Nodes and atoms are the 2N-point DFT bins of ``_dft_atoms``, the top
+    node exactly pi.  One product of the operator with sin/cos samples at a
     frequency gives the measured pair and its t- and t^2-weighted versions,
     from which ``_s_derivatives`` and the recovery polish read their
     derivatives.  Cached for the most recent matrix, which hashes by
     identity and is held, so a hit is never a recycled id.
     """
-    omegas = np.linspace(0.0, math.pi, phi.n_cols + 1)
-    q0, q1 = _orthonormal_pairs(_dft_atoms(phi.entries, 2 * phi.n_cols))
+    omegas, w = _dft_atoms(phi.entries, 2 * phi.n_cols)
+    q0, q1 = _orthonormal_pairs(w)
     t = np.arange(1.0, phi.n_cols + 1.0)
     stacked = np.concatenate((phi.entries, phi.entries * t, phi.entries * (t * t)))
     for x in (omegas, q0, q1, stacked):
@@ -257,23 +264,20 @@ def _s_derivatives(stacked: np.ndarray, r: np.ndarray, omega: float):
     """s(omega) = min_x ||r - A x||^2 and its exact derivatives s', s''.
 
     ``stacked`` is the operator [Phi; Phi T; Phi T^2] from ``_full_band``.
-    One product of it with the N x 2 block [sin wt, cos wt] gives, as row
-    slices, the pair A = [Phi sin, Phi cos] and the weighted pairs from
-    which A' = [Phi T cos, -Phi T sin] and A'' = -[Phi T^2 sin, Phi T^2 cos]
-    are read.  With G = A^T A, the fit x = G^-1 A^T r and its error
-    e = r - A x, s' = -2 e . A'x (envelope theorem) and
+    One product of it with the N x 2 block [sin wt, cos wt] of
+    ``sinusoid_samples`` gives, as row slices, the pair A = [Phi sin,
+    Phi cos] and the weighted pairs from which A' = [Phi T cos, -Phi T sin]
+    and A'' = -[Phi T^2 sin, Phi T^2 cos] are read.  With G = A^T A, the
+    fit x = G^-1 A^T r and its error e = r - A x, s' = -2 e . A'x (envelope
+    theorem) and
     s'' = 2 ||A'x||^2 - 2 e . A''x - 2 c^T G^-1 c, where c = A'^T e - A^T A'x
     is G dx/domega.  The 2x2 algebra runs on scalars, and e . A'x and
     e . A''x come from one product of e with the weighted rows.  A
     degenerate pair (omega within rounding of 0 or pi) has no 2x2 fit: s
     is then inf and s', s'' NaN.
     """
-    m, n = r.size, stacked.shape[1]
-    wt = omega * np.arange(1.0, n + 1.0)
-    block = np.empty((n, 2))
-    np.sin(wt, out=block[:, 0])
-    np.cos(wt, out=block[:, 1])
-    y = stacked @ block
+    m = r.size
+    y = stacked @ np.column_stack(sinusoid_samples(omega, stacked.shape[1]))
     a, ta = y[:m], y[m : 2 * m]
     (g00, g01), (_, g11) = (a.T @ a).tolist()
     det = g00 * g11 - g01 * g01
@@ -300,7 +304,7 @@ def estimate_sinusoid(
 ) -> EstimateOutcome:
     """Estimate the sinusoid that best explains the residual measurement ``r``.
 
-    ``r`` has length M and must be nonzero.  One grid round takes the best
+    ``r`` is finite, nonzero and of length M.  One grid round takes the best
     full-band node j (lowest index on ties); Newton steps on s' then polish
     it inside [omega_(j-1), omega_(j+1)] until the bracket is narrower than
     _FREQ_TOL, starting mid-bracket when j is a band end, whose pair is
@@ -323,6 +327,8 @@ def estimate_sinusoid(
     r = np.asarray(r, dtype=float)
     if r.ndim != 1 or r.size != phi.m_rows:
         raise ValueError(f"residual length {r.shape} does not match matrix m={phi.m_rows}")
+    if not np.all(np.isfinite(r)):
+        raise ValueError("residual must be finite (no NaN or inf)")
     if float(r @ r) == 0.0:
         raise ValueError("residual is identically zero; nothing to estimate")
     n = phi.n_cols

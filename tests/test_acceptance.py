@@ -23,7 +23,7 @@ N = 128
 K = 3
 M = 64
 MIN_SEP = math.pi / N
-GRID_POINTS = N  # estimator default resolves to the matrix's column count
+GRID_POINTS = N  # the grid contraction factor of criterion 3: each bracket is <= 2 / N of the last
 
 
 def _report(num: int, ok: bool, detail: str) -> bool:

@@ -17,10 +17,15 @@ def identity_phi(n):
     return SensingMatrix(entries=np.eye(n), kind=SUBSAMPLING, seed=0)
 
 
+def bomp_nodes(c, n):
+    """The bins of the c*N-point DFT in [0, pi], as ``_dft_atoms`` returns them."""
+    return estimator._dft_atoms(np.zeros((1, n)), c * n)[0]
+
+
 class TestBompCandidateGrid:
     @pytest.mark.parametrize("c, n", [(5, 128), (3, 32), (5, 7)])
     def test_count_spacing_and_endpoint(self, c, n):
-        cand = baselines._candidate_frequencies(c, n)
+        cand = bomp_nodes(c, n)
         assert cand.size == c * n // 2 + 1
         assert cand[0] == 0.0
         np.testing.assert_allclose(np.diff(cand), 2.0 * math.pi / (c * n), rtol=1e-12)
@@ -32,8 +37,7 @@ class TestBompCandidateGrid:
         # BOMP reads its table off one real FFT of length 5N: atom i must sit
         # at cand[i], to the kernel test's bound
         phi = gaussian_matrix(max(1, n // 2), n, seed=n)
-        cand = baselines._candidate_frequencies(5, n)
-        w = estimator._dft_atoms(phi.entries, 5 * n)
+        cand, w = estimator._dft_atoms(phi.entries, 5 * n)
         assert w.shape == (phi.m_rows, cand.size, 2)
         ref = estimator._measured_atoms(phi.entries, cand)
         scale = np.max(np.abs(phi.entries)) * n
@@ -44,13 +48,13 @@ class TestRedundantDftFrame:
     """The c-times redundant DFT frame BOMP searches, as its real [0, pi] half."""
 
     def test_atom_count_and_spacing(self):
-        cand = baselines._candidate_frequencies(5, 128)
+        cand = bomp_nodes(5, 128)
         # The full frame has cN = 640 atoms; the real half keeps cN/2 + 1 of them.
         assert 2 * (cand.size - 1) == 640
         np.testing.assert_allclose(np.diff(cand), 2.0 * math.pi / 640, rtol=1e-12)
 
     def test_real_candidates_cover_half_circle(self):
-        cand = baselines._candidate_frequencies(5, 128)
+        cand = bomp_nodes(5, 128)
         assert cand[0] == 0.0
         assert cand[-1] == pytest.approx(math.pi)
         assert cand.size == 321  # cN/2 + 1
@@ -89,6 +93,14 @@ class TestGridOracle:
     def test_zero_residual_rejected(self):
         with pytest.raises(ValueError):
             grid_oracle_batch(gaussian_matrix(4, 8, seed=0), np.zeros((4, 1)), 100)
+
+    @pytest.mark.filterwarnings("error")  # rejected before any arithmetic warns
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_residual_rejected(self, bad):
+        residuals = np.ones((4, 2))
+        residuals[1, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            grid_oracle_batch(gaussian_matrix(4, 8, seed=0), residuals, 100)
 
     def test_batch_matches_single(self):
         # each column of a batch scans exactly as it would on its own
@@ -195,6 +207,15 @@ class TestOracleLs:
         with pytest.raises(ValueError):
             oracle_ls(phi, m, [0.5, 0.5])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, math.pi, 4.0, -0.5])
+    def test_frequency_outside_band_rejected(self, bad):
+        # SinusoidParams admits only (0, pi); a fit elsewhere cannot be reported
+        phi = gaussian_matrix(16, 32, seed=10)
+        m = measure(phi, np.ones(32))
+        with pytest.raises(ValueError, match=r"\(0, pi\)"):
+            oracle_ls(phi, m, [0.5, bad])
+
     def test_too_many_components_rejected(self):
         phi = gaussian_matrix(4, 32, seed=11)
         m = measure(phi, np.ones(32))
@@ -223,7 +244,7 @@ class TestOracleLs:
 class TestBompRecover:
     def test_on_grid_tones_recovered_exactly(self):
         n = 128
-        cand = baselines._candidate_frequencies(5, n)
+        cand = bomp_nodes(5, n)
         idx = (40, 120, 200)  # distinct candidate grid points, well separated
         comps = tuple(SinusoidParams(float(cand[i]), 1.0, 0.0) for i in idx)
         truth = SignalModel(comps, n)

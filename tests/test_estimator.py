@@ -77,11 +77,11 @@ class TestDftAtoms:
     def test_matches_direct_sinusoid_samples(self, n, factor):
         phi = gaussian_matrix(max(1, n // 2), n, seed=n)
         length = factor * n
-        atoms = estimator._dft_atoms(phi.entries, length)
+        omegas, atoms = estimator._dft_atoms(phi.entries, length)
         assert atoms.shape == (phi.m_rows, length // 2 + 1, 2)
         scale = np.max(np.abs(phi.entries)) * n
         for k in range(length // 2 + 1):
-            sin_w, cos_w = sinusoid_samples(2.0 * math.pi * k / length, n)
+            sin_w, cos_w = sinusoid_samples(float(omegas[k]), n)
             ref = np.stack((phi.entries @ cos_w, phi.entries @ sin_w), axis=-1)
             err = np.max(np.abs(atoms[:, k, :] - ref))
             assert err <= 1e-12 * scale, (n, length, k, err)
@@ -89,6 +89,22 @@ class TestDftAtoms:
         assert np.all(atoms[:, 0, 1] == 0.0)
         if length % 2 == 0:
             assert np.all(atoms[:, -1, 1] == 0.0)
+
+    @pytest.mark.parametrize("length", [2, 3, 35, 50, 100, 255, 640, 1280])
+    def test_bins_stay_in_band(self, length):
+        # 50 * (2 pi / 100) rounds past pi: the top even-length bin is pi itself
+        omegas, _ = estimator._dft_atoms(np.zeros((1, 1)), length)
+        bins = 2.0 * math.pi * np.arange(omegas.size) / length
+        np.testing.assert_allclose(omegas, bins, rtol=1e-15)
+        assert omegas[0] == 0.0 and np.all(np.diff(omegas) > 0.0) and omegas[-1] <= math.pi
+        if length % 2 == 0:
+            assert omegas[-1] == math.pi
+
+    @pytest.mark.parametrize("n", [25, 75])
+    def test_full_band_nodes_are_the_linspace(self, n):
+        # k * (2 pi / 2N) misses pi at these N; the band's top node is pi itself
+        omegas, _, _ = estimator._full_band(gaussian_matrix(8, n, seed=n))
+        np.testing.assert_array_equal(omegas, np.linspace(0.0, math.pi, n + 1))
 
     def test_full_band_nodes_are_the_2n_point_bins(self):
         phi = gaussian_matrix(32, 64, seed=47)
@@ -455,6 +471,15 @@ class TestEstimateSinusoid:
         phi = gaussian_matrix(8, 16, seed=21)
         with pytest.raises(ValueError):
             estimate_sinusoid(phi, np.zeros(8))
+
+    @pytest.mark.filterwarnings("error")  # rejected before any arithmetic warns
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_residual_rejected(self, bad):
+        phi = gaussian_matrix(8, 16, seed=21)
+        r = np.random.default_rng(22).normal(size=8)
+        r[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            estimate_sinusoid(phi, r)
 
     def test_low_index_tie_break(self):
         # a symmetric two-point grid cannot occur with real atoms, but equal

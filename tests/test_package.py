@@ -1,5 +1,7 @@
-"""Package-level checks: the public surface resolves and the demos run."""
+"""Package-level checks: the public surface resolves, each kind of frequency
+sample has one source, and the demos run."""
 
+import ast
 import csv
 import importlib
 import json
@@ -30,6 +32,40 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ lists undefined names {missing}"
+
+
+# The one place each kind of frequency node or sample is made: trig samples,
+# DFT tables and uniform grids.  Every other layer reads them from these.
+NUMPY_SOURCES = {
+    "np.sin": {"estimator._cis", "model.sinusoid_samples", "model.component_samples"},
+    "np.cos": {"estimator._cis", "model.sinusoid_samples"},
+    "np.fft": {"estimator._dft_atoms"},
+    "np.linspace": {"estimator._dft_atoms", "baselines.grid_oracle_batch"},
+}
+
+
+def _numpy_uses(path):
+    """(np.<attr>, module.function) for every ``np.<attr>`` in the file."""
+    uses = set()
+
+    def visit(node, scope):
+        if isinstance(node, ast.FunctionDef):
+            scope = node.name
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "np":
+            uses.add((f"np.{node.attr}", f"{path.stem}.{scope}"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return uses
+
+
+def test_trig_fft_and_grids_have_one_source_each():
+    uses = set()
+    for path in (ROOT / "src" / "cstones").glob("*.py"):
+        uses |= {(name, where) for name, where in _numpy_uses(path) if name in NUMPY_SOURCES}
+    allowed = {(name, where) for name, places in NUMPY_SOURCES.items() for where in places}
+    assert uses == allowed, {"outside their source": uses - allowed, "unused": allowed - uses}
 
 
 def test_cli_import_leaves_scipy_unloaded():
