@@ -34,8 +34,22 @@ __all__ = [
 ]
 
 # Grid nodes per grid_oracle_batch chunk: sets the size of every per-chunk
-# GEMM operand.
+# GEMM operand, and of every float64 rescoring batch.
 _SCAN_CHUNK = 512
+
+# grid_oracle_batch's float32 stage passes on a node while some residual r's
+# float32 captured energy there is within this times ||r||^2 of r's best.
+# The float32 energy's measured error at pairs above _F32_GRAM_RATIO is at
+# most 1.3e-6 * ||r||^2 (Gaussian and subsampling Phi from 8 x 64 to
+# 64 x 256, random and single-tone residuals): the slack is 230 times that,
+# and 115 times the most by which a float32 leader can beat the true winner.
+_F32_GAIN_SLACK = 3e-4
+# Pairs whose Gram ratio det / trace^2 is at most this lie near 0 and pi,
+# where the sine column nearly vanishes.  Float32 is least accurate there
+# (measured error up to 2e-6 * ||r||^2 at ratios 1e-8 to 1e-4), and near
+# the rank-1 threshold _GRAM_DET_TOL float32 cannot tell a regular pair from
+# a degenerate one, so those nodes always go to the float64 stage.
+_F32_GRAM_RATIO = 1e-4
 
 # BOMP's candidate grid oversamples the N-point DFT grid this many times.
 _BOMP_OVERSAMPLING = 5
@@ -85,12 +99,18 @@ def grid_oracle_batch(
 
     Evaluates the amplitude-optimized squared error at ``grid_size``
     uniformly spaced frequencies and keeps the exact grid argmin of each
-    column, lowest index on ties.  The grid is scanned in chunks of
-    ``_SCAN_CHUNK`` nodes; each chunk's measured pairs are orthonormalized,
-    so scoring every residual column is two GEMMs and a sum of squares.
-    Returns per-column arrays (omega, s_omega); the reported s_omega is
-    re-evaluated directly at the winning frequency.  Raises ValueError on a
-    non-finite entry or an all-zero column.
+    column, lowest index on ties.  Each column r is scaled by a power of
+    two to max |r| in [0.5, 1), which is exact.  ``_float32_candidates``
+    then scores every node in float32 and passes on only the nodes within
+    ``_F32_GAIN_SLACK`` * ||r||^2 of some column's best captured energy, and
+    the ill-conditioned ones; the float64 stage rescores those, in batches
+    of at most ``_SCAN_CHUNK``, through ``_measured_atoms`` and
+    ``_orthonormal_pairs``, and keeps each column's largest energy, lowest
+    index on ties.  The slack is far above the float32 error, so this is
+    the argmin a float64 scan of every node finds.  Returns per-column
+    arrays (omega, s_omega); s_omega is ``amplitude_ls`` at the winning
+    frequency, scaled back.  Raises ValueError on a non-finite entry or an
+    all-zero column.
     """
     if grid_size < 2:
         raise ValueError(f"grid_size must be >= 2, got {grid_size}")
@@ -101,38 +121,113 @@ def grid_oracle_batch(
         )
     if not np.all(np.isfinite(residuals)):
         raise ValueError("residuals must be finite (no NaN or inf)")
-    if np.any(np.einsum("ij,ij->j", residuals, residuals) == 0.0):
+    col_max = np.max(np.abs(residuals), axis=0)
+    if np.any(col_max == 0.0):
         raise ValueError("zero residual column; nothing to scan")
 
+    exps = np.frexp(col_max)[1]
+    scaled = np.ldexp(residuals, -exps)
     n_batch = residuals.shape[1]
     omegas = np.linspace(0.0, math.pi, grid_size)
     # best captured energy per column; larger gain means smaller error, and
-    # strict ">" keeps the lowest grid index on ties
+    # strict ">" over ascending batches keeps the lowest grid index on ties
     best_gain = np.full(n_batch, -np.inf)
     best_omega = np.zeros(n_batch)
     cols = np.arange(n_batch)
-    residuals_t = np.ascontiguousarray(residuals.T)
-    # node start + j is omega_start + omega_j: rotate the first chunk's phasors
-    table = _cis(omegas[:_SCAN_CHUNK], phi.n_cols)
-    phasors = np.empty_like(table)
-    for start in range(0, grid_size, _SCAN_CHUNK):
-        chunk = omegas[start:start + _SCAN_CHUNK]
-        np.multiply(table, _cis(omegas[start:start + 1], phi.n_cols), out=phasors)
-        w = phi.entries @ phasors[:, : chunk.size].view(float)
-        q0, q1 = _orthonormal_pairs(w.reshape(phi.m_rows, -1, 2))
-        gain = np.square(residuals_t @ q0)
-        gain += np.square(residuals_t @ q1)
-        j = np.argmax(gain, axis=1)
-        g_max = gain[cols, j]
-        better = g_max > best_gain
-        best_gain = np.where(better, g_max, best_gain)
-        best_omega = np.where(better, chunk[j], best_omega)
+    residuals_t = np.ascontiguousarray(scaled.T)
+    for kept in _float32_candidates(phi, scaled, omegas):
+        for start in range(0, kept.size, _SCAN_CHUNK):
+            nodes = omegas[kept[start:start + _SCAN_CHUNK]]
+            q0, q1, _ = _orthonormal_pairs(_measured_atoms(phi.entries, nodes))
+            gain = np.square(residuals_t @ q0)
+            gain += np.square(residuals_t @ q1)
+            j = np.argmax(gain, axis=1)
+            g_max = gain[cols, j]
+            better = g_max > best_gain
+            best_gain = np.where(better, g_max, best_gain)
+            best_omega = np.where(better, nodes[j], best_omega)
 
     s_exact = np.empty(n_batch)
     for col in range(n_batch):
         pair = build_atoms(phi, float(best_omega[col]))
-        _, _, s_exact[col] = amplitude_ls(pair, residuals[:, col])
-    return best_omega, s_exact
+        s_exact[col] = amplitude_ls(pair, scaled[:, col])[2]
+    return best_omega, np.ldexp(s_exact, 2 * exps)
+
+
+def _float32_candidates(phi: SensingMatrix, residuals: np.ndarray, omegas: np.ndarray):
+    """The float32 stage of ``grid_oracle_batch``: yields ascending arrays of
+    indices into ``omegas`` outside which no column of ``residuals`` (M x B,
+    each scaled to max |r| in [0.5, 1)) has its float64 argmax.
+
+    Each ``_SCAN_CHUNK`` slice runs the float64 scan's steps in float32: the
+    first chunk's ``_cis`` table rotated by the chunk's ``_cis`` factor, the
+    Phi GEMM, ``_orthonormal_pairs`` and two gain GEMMs.  A column keeps a
+    running best over nodes with Gram ratio above ``_F32_GRAM_RATIO``,
+    seeded from ``_SCAN_CHUNK`` nodes spread over the grid, and a (column,
+    node) pair while its gain is within ``_F32_GAIN_SLACK`` * ||r||^2 of
+    that best; nodes at or below the ratio are kept for every column.  Kept
+    pairs are pruned against the raised bests each time they double, and
+    the kept nodes yielded at the end, or once B * ``_SCAN_CHUNK`` pairs and
+    ill-conditioned nodes survive a pruning, so memory stays
+    O(B * _SCAN_CHUNK).
+    """
+    n_batch = residuals.shape[1]
+    # q0, q1 do not change with the scale of Phi: a power of two keeps the
+    # float32 copy in range whatever Phi's own scale
+    entries = np.ldexp(phi.entries, -np.frexp(np.max(np.abs(phi.entries)))[1]).astype(np.float32)
+    residuals_t = np.ascontiguousarray(residuals.T, dtype=np.float32)
+    slack = (_F32_GAIN_SLACK * np.einsum("ij,ij->j", residuals, residuals)).astype(np.float32)
+
+    def energies(phasors):
+        """B x C float32 gains at the phasor columns, -inf where ill-conditioned."""
+        w = entries @ phasors.view(np.float32)
+        # a pair whose sine part cancels to zero in float32 while its ratio
+        # rounds above _GRAM_DET_TOL normalizes 0 / 0: it is ill-conditioned,
+        # and its energy is masked below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q0, q1, ratio = _orthonormal_pairs(w.reshape(phi.m_rows, -1, 2))
+        gain = np.square(residuals_t @ q0)
+        gain += np.square(residuals_t @ q1)
+        ill = ratio <= _F32_GRAM_RATIO
+        gain[:, ill] = -np.inf  # an ill-conditioned float32 energy may be too high
+        return gain, ill
+
+    # Seeded near each column's peak, the best keeps few of the first chunks'
+    # nodes: unseeded, a 1e6-node scan kept 1e5 of them.
+    spread = omegas[:: -(-omegas.size // _SCAN_CHUNK)]
+    best = energies(_cis(spread, phi.n_cols).astype(np.complex64))[0].max(axis=1)
+    # node start + j is omega_start + omega_j: rotate the first chunk's phasors
+    table = _cis(omegas[:_SCAN_CHUNK], phi.n_cols).astype(np.complex64)
+    phasors = np.empty_like(table)
+    cols, nodes, gains = [], [], []  # the kept (column, node) pairs and their gains
+    ill_nodes = []  # kept for every column
+    n_kept, prune_at = 0, n_batch
+    for start in range(0, omegas.size, _SCAN_CHUNK):
+        size = min(_SCAN_CHUNK, omegas.size - start)
+        rotation = _cis(omegas[start:start + 1], phi.n_cols).astype(np.complex64)
+        np.multiply(table, rotation, out=phasors)
+        gain, ill = energies(phasors[:, :size])
+        ill_nodes.append(start + np.flatnonzero(ill))
+        np.maximum(best, gain.max(axis=1), out=best)
+        near = gain >= (best - slack)[:, None]
+        j = np.flatnonzero(near.any(axis=0))  # few columns: nonzero on all is slow
+        col, k = np.nonzero(near[:, j])
+        cols.append(col)
+        nodes.append(start + j[k])
+        gains.append(gain[col, j[k]])
+        n_kept += col.size
+        last = start + size == omegas.size
+        if n_kept < prune_at and not last:
+            continue
+        col, node, g = (np.concatenate(x) for x in (cols, nodes, gains))
+        live = g >= best[col] - slack[col]
+        col, node, g = col[live], node[live], g[live]
+        if last or col.size + sum(map(len, ill_nodes)) >= n_batch * _SCAN_CHUNK:
+            yield np.unique(np.concatenate((node, *ill_nodes)))
+            col, node, g = col[:0], node[:0], g[:0]
+            ill_nodes = []
+        cols, nodes, gains = [col], [node], [g]
+        n_kept, prune_at = col.size, 2 * col.size + n_batch
 
 
 def bomp_recover(phi: SensingMatrix, m: Measurement, k: int) -> SignalModel:
@@ -163,7 +258,7 @@ def bomp_recover(phi: SensingMatrix, m: Measurement, k: int) -> SignalModel:
         return SignalModel(components=(), n_samples=n)
 
     cand, w = _dft_atoms(phi.entries, _BOMP_OVERSAMPLING * n)  # w[:, i] is the pair at cand[i]
-    q0, q1 = _orthonormal_pairs(w)
+    q0, q1, _ = _orthonormal_pairs(w)
 
     allowed = np.ones(cand.size, dtype=bool)
     selected: list[int] = []

@@ -19,10 +19,13 @@ one of two kernels.  A uniform DFT grid w_k = 2 pi k / L (the full band,
 L = 2N, and BOMP's oversampled grid) is one real FFT of each zero-padded
 row of Phi (``_dft_atoms``, which returns the bins too); arbitrary
 frequencies (the polish fits, ``oracle_ls``) take one GEMM on directly
-evaluated cos/sin samples (``_measured_atoms``), and the grid oracle
-rotates one such table (``_cis``) per chunk of its uniform scan.  All feed
+evaluated cos/sin samples (``_measured_atoms``).  The grid oracle scores
+every node of its uniform scan in float32, rotating one such table
+(``_cis``) per chunk, then rescores the nodes near each residual's best in
+float64 through ``_measured_atoms``; nothing else leaves float64.  All feed
 the pair bases of ``_orthonormal_pairs``, against which a residual is
-scored by its captured energy.
+scored by its captured energy, and whose Gram ratios tell the float32 scan
+which pairs it cannot trust.
 """
 
 from __future__ import annotations
@@ -51,6 +54,11 @@ _MAX_NEWTON_STEPS = 60
 # Atom pairs whose Gram determinant is at most this times trace^2 are solved
 # rank-1 (omega at 0 or pi, where the sine column vanishes).
 _GRAM_DET_TOL = 1e-12
+# estimate_sinusoid rescales a residual whose largest entry lies outside
+# [2^-_SAFE_EXP, 2^_SAFE_EXP].  Inside, every square and Newton term stays
+# far within float64's range, and r is read as given: a scaled copy is
+# contiguous, and BLAS sums it in another order than a strided view of r.
+_SAFE_EXP = 256
 # A grid node whose captured energy falls short of the best by more than
 # this times ||r||^2 cannot have the least error: the energy and the
 # error's direct form each carry rounding of a few eps * ||r||^2.
@@ -179,26 +187,32 @@ def _dft_atoms(phi_entries: np.ndarray, length: int) -> tuple[np.ndarray, np.nda
     return omegas, spectrum.view(float).reshape(m, -1, 2)
 
 
-def _orthonormal_pairs(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis (q0, q1) of each measured (cos, sin) pair in ``w``.
+def _orthonormal_pairs(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orthonormal basis (q0, q1) of each measured (cos, sin) pair in ``w``,
+    and each pair's Gram ratio det / trace^2 (0 for a zero pair).
 
-    ``w`` is M x C x 2 as from ``_measured_atoms`` or ``_dft_atoms``; q0
-    and q1 are M x C.  Regular pairs get Gram-Schmidt from the cosine
-    column, so the captured energy of a residual r is (q0 . r)^2 +
-    (q1 . r)^2.  Degenerate pairs
-    (Gram determinant at most _GRAM_DET_TOL * trace^2, e.g. omega at 0 or
-    pi where the sine column vanishes) keep only their dominant column,
-    normalized, and a zero q1: the rank-1 fit of ``amplitude_ls``.  A zero
-    dominant column gains nothing.  The estimator's grid round, the grid
-    oracle and BOMP all take their pair bases from here.
+    ``w`` is M x C x 2 as from ``_measured_atoms`` or ``_dft_atoms``, float64
+    or float32, whose dtype the results keep; q0 and q1 are M x C.  Regular
+    pairs get Gram-Schmidt from the cosine column, so the captured energy
+    of a residual r is (q0 . r)^2 + (q1 . r)^2.  Degenerate pairs (ratio at
+    most _GRAM_DET_TOL, e.g. omega at 0 or pi where the sine column
+    vanishes) keep only their dominant column, normalized, and a zero q1:
+    the rank-1 fit of ``amplitude_ls``.  A zero dominant column gains
+    nothing.  The
+    estimator's grid round, the grid oracle and BOMP all take their pair
+    bases from here; the ratio is returned rather than a float32 threshold
+    taken, so the one rank rule stays here and only the grid oracle's
+    float32 stage, its one reader, knows which ratios float32 cannot trust.
     """
     v = np.ascontiguousarray(w[..., 0])
     u = np.ascontiguousarray(w[..., 1])
     gvv = np.einsum("ij,ij->j", v, v)
     guu = np.einsum("ij,ij->j", u, u)
     guv = np.einsum("ij,ij->j", u, v)
-    trace = gvv + guu
-    regular = gvv * guu - guv * guv > _GRAM_DET_TOL * trace * trace
+    trace_sq = np.square(gvv + guu)
+    det = gvv * guu - guv * guv
+    ratio = np.divide(det, trace_sq, out=np.zeros_like(det), where=trace_sq > 0)
+    regular = ratio > _GRAM_DET_TOL
     inv_v = 1.0 / np.sqrt(np.where(regular, gvv, 1.0))
     q0 = v * inv_v
     q1 = q0 * -(guv * inv_v)
@@ -208,7 +222,7 @@ def _orthonormal_pairs(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         g_dom, col = (guu[idx], u[:, idx]) if guu[idx] >= gvv[idx] else (gvv[idx], v[:, idx])
         q0[:, idx] = col / math.sqrt(g_dom) if g_dom > 0 else 0.0
         q1[:, idx] = 0.0
-    return q0, q1
+    return q0, q1, ratio
 
 
 @functools.lru_cache(maxsize=1)
@@ -224,7 +238,7 @@ def _full_band(phi: SensingMatrix):
     identity and is held, so a hit is never a recycled id.
     """
     omegas, w = _dft_atoms(phi.entries, 2 * phi.n_cols)
-    q0, q1 = _orthonormal_pairs(w)
+    q0, q1, _ = _orthonormal_pairs(w)
     t = np.arange(1.0, phi.n_cols + 1.0)
     stacked = np.concatenate((phi.entries, phi.entries * t, phi.entries * (t * t)))
     for x in (omegas, q0, q1, stacked):
@@ -322,15 +336,23 @@ def estimate_sinusoid(
     point whose pair is degenerate (within rounding of 0 or pi) ends the
     search at once, on the bracket end of lower s.  The returned
     residual_sq is exactly ``amplitude_ls`` re-evaluated at the returned
-    frequency.
+    frequency.  A residual with max |r| outside [2^-_SAFE_EXP, 2^_SAFE_EXP]
+    is searched as r / 2^e with max |r / 2^e| in [0.5, 1), so that no square
+    overflows or underflows, and amplitudes and squared errors are scaled
+    back by 2^e and 2^2e: the frequency does not depend on the scale of r.
     """
     r = np.asarray(r, dtype=float)
     if r.ndim != 1 or r.size != phi.m_rows:
         raise ValueError(f"residual length {r.shape} does not match matrix m={phi.m_rows}")
     if not np.all(np.isfinite(r)):
         raise ValueError("residual must be finite (no NaN or inf)")
-    if float(r @ r) == 0.0:
+    r_max = float(np.max(np.abs(r)))
+    if r_max == 0.0:
         raise ValueError("residual is identically zero; nothing to estimate")
+    e = 0
+    if not 2.0**-_SAFE_EXP <= r_max <= 2.0**_SAFE_EXP:
+        e = math.frexp(r_max)[1]  # a power of two: the scaled search is exact
+        r = np.ldexp(r, -e)
     n = phi.n_cols
     if n < 2:
         raise ValueError(f"the frequency grid needs N >= 2 columns, got N={n}")
@@ -380,6 +402,9 @@ def estimate_sinusoid(
         a1, a2, s_final = amplitude_ls(build_atoms(phi, omega_hat), r)
     elif len(s_history) > 1:
         brackets.append((a, b))
+    if e:  # np.ldexp, not math.ldexp: a squared error past the float range is inf
+        a1, a2 = math.ldexp(a1, e), math.ldexp(a2, e)
+        s_final, *s_history = np.ldexp([s_final, *s_history], 2 * e).tolist()
     return EstimateOutcome(
         params=SinusoidParams.from_linear(omega_hat, a1, a2),
         residual_sq=s_final,

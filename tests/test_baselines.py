@@ -10,7 +10,13 @@ from cstones.baselines import bomp_recover, grid_oracle_batch, oracle_ls
 from cstones.estimator import amplitude_ls, build_atoms, estimate_sinusoid
 from cstones.model import SignalModel, SinusoidParams, draw_model, sinusoid_samples, synthesize
 from cstones.recovery import RecoveryConfig, recover
-from cstones.sensing import SUBSAMPLING, SensingMatrix, gaussian_matrix, measure
+from cstones.sensing import (
+    SUBSAMPLING,
+    SensingMatrix,
+    gaussian_matrix,
+    measure,
+    subsampling_matrix,
+)
 
 
 def identity_phi(n):
@@ -157,6 +163,109 @@ class TestGridOracle:
         omegas, s_vals = grid_oracle_batch(phi, r[:, None], 2 * baselines._SCAN_CHUNK + 1)
         assert omegas[0] == omega
         assert s_vals[0] <= 1e-24 * float(r @ r)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in ldexp:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "scale", [1e200, 1e-200, 2.0**300, 2.0**-300], ids=["1e200", "1e-200", "2^300", "2^-300"]
+    )
+    def test_extreme_scale_same_node(self, scale):
+        # unscaled, 1e200 overflowed the gain squares (omega 0, s inf)
+        phi = gaussian_matrix(16, 32, seed=1)
+        noise = 1e-3 * np.random.default_rng(9).normal(size=16)
+        r = build_atoms(phi, 1.0) @ np.array([0.8, -0.3]) + noise
+        base_omega, base_s = grid_oracle_batch(phi, r[:, None], 1001)
+        omega, s = grid_oracle_batch(phi, scale * r[:, None], 1001)
+        assert omega[0] == base_omega[0]
+        expected = float(base_s[0]) * scale * scale  # inf at 1e200 and 0 at 1e-200, as floats round
+        if math.frexp(scale)[0] == 0.5:  # a power of two: exactly scaled
+            assert s[0] == expected
+        else:
+            assert s[0] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "phi",
+        [
+            gaussian_matrix(12, 20, seed=6),
+            gaussian_matrix(16, 32, seed=1),
+            gaussian_matrix(64, 128, seed=3),
+            gaussian_matrix(64, 256, seed=14),
+            subsampling_matrix(32, 64, seed=15),
+            subsampling_matrix(64, 256, seed=16),
+        ],
+        ids=["gauss12x20", "gauss16x32", "gauss64x128", "gauss64x256", "sub32x64", "sub64x256"],
+    )
+    def test_float32_stage_error_and_kept_set(self, phi, monkeypatch):
+        # the float32 energies the scan scores against: within a hundredth of
+        # the slack of float64 wherever the pair is well conditioned, and the
+        # kept nodes always hold each column's float64 argmax
+        rng = np.random.default_rng(17)
+        tones = [build_atoms(phi, w) @ rng.normal(size=2) for w in rng.uniform(0.0, math.pi, 12)]
+        residuals = np.column_stack([*rng.normal(size=(12, phi.m_rows)), *tones])
+        grid_size = 2 * baselines._SCAN_CHUNK + 301
+        bases32, kept = [], []
+        pairs, candidates = baselines._orthonormal_pairs, baselines._float32_candidates
+
+        def spy_pairs(w):
+            out = pairs(w)
+            if w.dtype == np.float32:
+                bases32.append(out)
+            return out
+
+        def spy_candidates(*args):
+            for nodes in candidates(*args):
+                kept.append(nodes)
+                yield nodes
+
+        monkeypatch.setattr(baselines, "_orthonormal_pairs", spy_pairs)
+        monkeypatch.setattr(baselines, "_float32_candidates", spy_candidates)
+        omegas, _ = grid_oracle_batch(phi, residuals, grid_size)
+
+        scaled = np.ldexp(residuals, -np.frexp(np.max(np.abs(residuals), axis=0))[1])
+        grid = np.linspace(0.0, math.pi, grid_size)
+        q0, q1, _ = estimator._orthonormal_pairs(estimator._measured_atoms(phi.entries, grid))
+        gain64 = np.square(scaled.T @ q0) + np.square(scaled.T @ q1)
+        r32 = np.ascontiguousarray(scaled.T, dtype=np.float32)
+        bound = baselines._F32_GAIN_SLACK / 100 * np.einsum("ij,ij->j", scaled, scaled)
+        # the first float32 call scores the spread nodes that seed each best,
+        # the others the chunks of the grid
+        spread = slice(None, None, -(-grid_size // baselines._SCAN_CHUNK))
+        for bases, ref in (([bases32[0]], gain64[:, spread]), (bases32[1:], gain64)):
+            gain32 = np.hstack([np.square(r32 @ p0) + np.square(r32 @ p1) for p0, p1, _ in bases])
+            well = np.concatenate([ratio for _, _, ratio in bases]) > baselines._F32_GRAM_RATIO
+            assert gain32.shape == ref.shape
+            assert np.all(np.abs(gain32 - ref)[:, well] <= bound[:, None])
+        best = np.argmax(gain64, axis=1)
+        kept = np.concatenate(kept)
+        assert np.all(np.isin(best, kept))
+        assert np.all(np.isin(np.flatnonzero(~well), kept))  # ill-conditioned: always rescored
+        np.testing.assert_array_equal(omegas, grid[best])
+
+    @pytest.mark.filterwarnings("error")
+    def test_single_row_every_pair_rank_one(self):
+        # with M = 1 every pair is rank-1, so every node captures all of r
+        # and the lowest index wins; float32 rounding may call such a pair
+        # regular and normalize 0 / 0, which must stay masked and silent
+        residuals = np.random.default_rng(19).normal(size=(1, 3))
+        omegas, s_vals = grid_oracle_batch(gaussian_matrix(1, 8, seed=5), residuals, 2001)
+        assert np.all(omegas == 0.0)
+        assert np.all(s_vals <= 1e-30)
+
+    def test_hundred_thousand_nodes_match_float64_reference(self):
+        # tones inside the band and next to both ends, whose nearest nodes
+        # are ill-conditioned float32 pairs, against a float64 scan of every node
+        phi = gaussian_matrix(64, 128, seed=3)
+        rng = np.random.default_rng(18)
+        tones = (2e-5, 0.7, 1.9, 2.8, math.pi - 2e-5)
+        residuals = np.column_stack([build_atoms(phi, w) @ rng.normal(size=2) for w in tones])
+        grid = np.linspace(0.0, math.pi, 100_000)
+        gain = np.empty((len(tones), grid.size))
+        for start in range(0, grid.size, 4096):
+            nodes = grid[start:start + 4096]
+            q0, q1, _ = estimator._orthonormal_pairs(estimator._measured_atoms(phi.entries, nodes))
+            gain[:, start:start + nodes.size] = np.square(residuals.T @ q0)
+            gain[:, start:start + nodes.size] += np.square(residuals.T @ q1)
+        omegas, _ = grid_oracle_batch(phi, residuals, grid.size)
+        np.testing.assert_array_equal(omegas, grid[np.argmax(gain, axis=1)])
 
     def test_estimator_never_beaten_by_dense_grid(self):
         # anti-drift check on well-separated single-tone residuals

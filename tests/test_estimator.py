@@ -110,7 +110,7 @@ class TestDftAtoms:
         phi = gaussian_matrix(32, 64, seed=47)
         omegas, (q0, q1), _ = estimator._full_band(phi)
         np.testing.assert_allclose(omegas, np.pi * np.arange(65) / 64, rtol=0.0, atol=1e-15)
-        ref0, ref1 = estimator._orthonormal_pairs(estimator._measured_atoms(phi.entries, omegas))
+        ref0, ref1, _ = estimator._orthonormal_pairs(estimator._measured_atoms(phi.entries, omegas))
         np.testing.assert_allclose(q0, ref0, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(q1, ref1, rtol=0.0, atol=1e-12)
 
@@ -128,7 +128,8 @@ class TestOrthonormalPairs:
             omegas, tables, _ = estimator._full_band(phi)
         else:
             omegas = np.linspace(*bracket, phi.n_cols + 1)
-            tables = estimator._orthonormal_pairs(estimator._measured_atoms(phi.entries, omegas))
+            w = estimator._measured_atoms(phi.entries, omegas)
+            tables = estimator._orthonormal_pairs(w)[:2]
         s = estimator._grid_eval(tables, r)
         ref = np.array([amplitude_ls(build_atoms(phi, float(w)), r)[2] for w in omegas])
         scored = np.isfinite(s)
@@ -169,7 +170,7 @@ class TestOrthonormalPairs:
     def test_regular_nodes_orthonormal_endpoints_rank_one(self, phi):
         omegas = np.linspace(0.0, math.pi, phi.n_cols + 1)
         w = estimator._measured_atoms(phi.entries, omegas)
-        q0, q1 = estimator._orthonormal_pairs(w)
+        q0, q1, ratio = estimator._orthonormal_pairs(w)
         assert q0.shape == q1.shape == (phi.m_rows, omegas.size)
         for k in range(1, omegas.size - 1):
             q = np.column_stack((q0[:, k], q1[:, k]))
@@ -179,6 +180,9 @@ class TestOrthonormalPairs:
             assert np.all(q1[:, k] == 0.0)
             cos_col = w[:, k, 0]
             np.testing.assert_allclose(q0[:, k], cos_col / np.linalg.norm(cos_col), atol=1e-12)
+        # the returned Gram ratio is what sorts the two kinds
+        assert np.all(ratio[1:-1] > estimator._GRAM_DET_TOL)
+        assert ratio[0] <= estimator._GRAM_DET_TOL and ratio[-1] <= estimator._GRAM_DET_TOL
 
 
 class TestRoundTableCache:
@@ -480,6 +484,24 @@ class TestEstimateSinusoid:
         r[3] = bad
         with pytest.raises(ValueError, match="finite"):
             estimate_sinusoid(phi, r)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in ldexp:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "scale", [1e200, 1e-200, 2.0**664, 2.0**-664], ids=["1e200", "1e-200", "2^664", "2^-664"]
+    )
+    def test_extreme_scale_same_frequency(self, scale):
+        # unscaled, 1e200 overflowed the grid round's energies (omega 5e-324)
+        # and 1e-200 underflowed r . r and was refused as zero
+        phi = gaussian_matrix(16, 32, seed=23)
+        r = build_atoms(phi, 1.0) @ np.array([0.8, -0.3])
+        base = estimate_sinusoid(phi, r)
+        out = estimate_sinusoid(phi, scale * r)
+        if math.frexp(scale)[0] == 0.5:  # a power of two: the same search exactly
+            assert out.params.omega == base.params.omega
+        else:
+            assert out.params.omega == pytest.approx(base.params.omega, abs=1e-12)
+        assert out.params.amplitude == pytest.approx(scale * base.params.amplitude, rel=1e-12)
+        assert out.params.phase == pytest.approx(base.params.phase, abs=1e-12)
 
     def test_low_index_tie_break(self):
         # a symmetric two-point grid cannot occur with real atoms, but equal

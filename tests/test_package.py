@@ -68,6 +68,43 @@ def test_trig_fft_and_grids_have_one_source_each():
     assert uses == allowed, {"outside their source": uses - allowed, "unused": allowed - uses}
 
 
+# Reduced precision stays inside the grid oracle's float32 stage: criteria 5
+# and 7 compare errors near 1e-15, so a float32 step in recover or the
+# estimator would decide them by its rounding.
+REDUCED_PRECISION = {
+    "float16", "float32", "complex64", "half", "single", "csingle", "f2", "f4", "c8"
+}
+REDUCED_PRECISION_PLACES = {"baselines.grid_oracle_batch", "baselines._float32_candidates"}
+
+
+def _reduced_precision_uses(path):
+    """module.function (the outermost one) for every ``np.<dtype>`` or dtype
+    string naming a reduced-precision type in the file."""
+    places = set()
+
+    def visit(node, scope):
+        if isinstance(node, ast.FunctionDef) and scope == "<module>":
+            scope = node.name
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "np":
+            name = node.attr
+        else:  # a dtype string such as astype("float32")
+            name = getattr(node, "value", None) if isinstance(node, ast.Constant) else None
+        if name in REDUCED_PRECISION:
+            places.add(f"{path.stem}.{scope}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return places
+
+
+def test_reduced_precision_only_in_the_oracle_scan():
+    places = set()
+    for path in (ROOT / "src" / "cstones").glob("*.py"):
+        places |= _reduced_precision_uses(path)
+    assert places and places <= REDUCED_PRECISION_PLACES, places
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # scipy costs ~0.6 s and ~47 MB per process; no module needs it
     env = dict(os.environ)
