@@ -33,12 +33,13 @@ __all__ = [
     "bomp_recover",
 ]
 
-# Grid nodes per grid_oracle_batch chunk: sets the size of every per-chunk
-# GEMM operand, and of every float64 rescoring batch.
+# Grid nodes per grid_oracle_batch chunk: sets the size of every float32 GEMM
+# operand; the float64 stage rescores _SCAN_CHUNK to 2 * _SCAN_CHUNK - 1
+# queued nodes at a time, the last batch fewer.
 _SCAN_CHUNK = 512
 
-# grid_oracle_batch's float32 stage passes on a node while some residual r's
-# float32 captured energy there is within this times ||r||^2 of r's best.
+# grid_oracle_batch rescores a node in float64 while some residual r's float32
+# captured energy there is within this times ||r||^2 of r's running best.
 # The float32 energy's measured error at pairs above _F32_GRAM_RATIO is at
 # most 1.3e-6 * ||r||^2 (Gaussian and subsampling Phi from 8 x 64 to
 # 64 x 256, random and single-tone residuals): the slack is 230 times that,
@@ -100,17 +101,25 @@ def grid_oracle_batch(
     Evaluates the amplitude-optimized squared error at ``grid_size``
     uniformly spaced frequencies and keeps the exact grid argmin of each
     column, lowest index on ties.  Each column r is scaled by a power of
-    two to max |r| in [0.5, 1), which is exact.  ``_float32_candidates``
-    then scores every node in float32 and passes on only the nodes within
-    ``_F32_GAIN_SLACK`` * ||r||^2 of some column's best captured energy, and
-    the ill-conditioned ones; the float64 stage rescores those, in batches
-    of at most ``_SCAN_CHUNK``, through ``_measured_atoms`` and
-    ``_orthonormal_pairs``, and keeps each column's largest energy, lowest
-    index on ties.  The slack is far above the float32 error, so this is
-    the argmin a float64 scan of every node finds.  Returns per-column
-    arrays (omega, s_omega); s_omega is ``amplitude_ls`` at the winning
-    frequency, scaled back.  Raises ValueError on a non-finite entry or an
-    all-zero column.
+    two to max |r| in [0.5, 1), which is exact.  Each ``_SCAN_CHUNK`` slice
+    of the grid is scored in float32: the first chunk's ``_cis`` table
+    rotated by the chunk's ``_cis`` factor, the Phi GEMM,
+    ``_orthonormal_pairs`` and two gain GEMMs.  Every column keeps a running
+    float32 best over nodes with Gram ratio above ``_F32_GRAM_RATIO``,
+    seeded from ``_SCAN_CHUNK`` nodes spread over the grid.  A node is queued
+    when its energy is within ``_F32_GAIN_SLACK`` * ||r||^2 of some
+    column's running best, and so is every node at or below the ratio.  The
+    running best never exceeds the final one, so the queue holds every node
+    within the slack of the final best; the slack is far above the float32
+    error, so that includes each column's float64 argmax.  Once at least
+    ``_SCAN_CHUNK`` nodes are queued, and at the last chunk, they are
+    rescored in float64 through ``_measured_atoms`` and
+    ``_orthonormal_pairs`` (fewer than 2 * ``_SCAN_CHUNK`` at a time), and
+    each column keeps its largest energy; batches ascend and a later one
+    must be strictly larger, so the lowest index wins ties.  Returns
+    per-column arrays (omega, s_omega); s_omega is ``amplitude_ls`` at the
+    winning frequency, scaled back.  Raises ValueError on a non-finite
+    entry or an all-zero column.
     """
     if grid_size < 2:
         raise ValueError(f"grid_size must be >= 2, got {grid_size}")
@@ -129,54 +138,12 @@ def grid_oracle_batch(
     scaled = np.ldexp(residuals, -exps)
     n_batch = residuals.shape[1]
     omegas = np.linspace(0.0, math.pi, grid_size)
-    # best captured energy per column; larger gain means smaller error, and
-    # strict ">" over ascending batches keeps the lowest grid index on ties
-    best_gain = np.full(n_batch, -np.inf)
-    best_omega = np.zeros(n_batch)
-    cols = np.arange(n_batch)
     residuals_t = np.ascontiguousarray(scaled.T)
-    for kept in _float32_candidates(phi, scaled, omegas):
-        for start in range(0, kept.size, _SCAN_CHUNK):
-            nodes = omegas[kept[start:start + _SCAN_CHUNK]]
-            q0, q1, _ = _orthonormal_pairs(_measured_atoms(phi.entries, nodes))
-            gain = np.square(residuals_t @ q0)
-            gain += np.square(residuals_t @ q1)
-            j = np.argmax(gain, axis=1)
-            g_max = gain[cols, j]
-            better = g_max > best_gain
-            best_gain = np.where(better, g_max, best_gain)
-            best_omega = np.where(better, nodes[j], best_omega)
-
-    s_exact = np.empty(n_batch)
-    for col in range(n_batch):
-        pair = build_atoms(phi, float(best_omega[col]))
-        s_exact[col] = amplitude_ls(pair, scaled[:, col])[2]
-    return best_omega, np.ldexp(s_exact, 2 * exps)
-
-
-def _float32_candidates(phi: SensingMatrix, residuals: np.ndarray, omegas: np.ndarray):
-    """The float32 stage of ``grid_oracle_batch``: yields ascending arrays of
-    indices into ``omegas`` outside which no column of ``residuals`` (M x B,
-    each scaled to max |r| in [0.5, 1)) has its float64 argmax.
-
-    Each ``_SCAN_CHUNK`` slice runs the float64 scan's steps in float32: the
-    first chunk's ``_cis`` table rotated by the chunk's ``_cis`` factor, the
-    Phi GEMM, ``_orthonormal_pairs`` and two gain GEMMs.  A column keeps a
-    running best over nodes with Gram ratio above ``_F32_GRAM_RATIO``,
-    seeded from ``_SCAN_CHUNK`` nodes spread over the grid, and a (column,
-    node) pair while its gain is within ``_F32_GAIN_SLACK`` * ||r||^2 of
-    that best; nodes at or below the ratio are kept for every column.  Kept
-    pairs are pruned against the raised bests each time they double, and
-    the kept nodes yielded at the end, or once B * ``_SCAN_CHUNK`` pairs and
-    ill-conditioned nodes survive a pruning, so memory stays
-    O(B * _SCAN_CHUNK).
-    """
-    n_batch = residuals.shape[1]
     # q0, q1 do not change with the scale of Phi: a power of two keeps the
     # float32 copy in range whatever Phi's own scale
     entries = np.ldexp(phi.entries, -np.frexp(np.max(np.abs(phi.entries)))[1]).astype(np.float32)
-    residuals_t = np.ascontiguousarray(residuals.T, dtype=np.float32)
-    slack = (_F32_GAIN_SLACK * np.einsum("ij,ij->j", residuals, residuals)).astype(np.float32)
+    residuals32 = residuals_t.astype(np.float32)
+    slack = (_F32_GAIN_SLACK * np.einsum("ij,ij->j", scaled, scaled)).astype(np.float32)
 
     def energies(phasors):
         """B x C float32 gains at the phasor columns, -inf where ill-conditioned."""
@@ -186,48 +153,51 @@ def _float32_candidates(phi: SensingMatrix, residuals: np.ndarray, omegas: np.nd
         # and its energy is masked below
         with np.errstate(divide="ignore", invalid="ignore"):
             q0, q1, ratio = _orthonormal_pairs(w.reshape(phi.m_rows, -1, 2))
-        gain = np.square(residuals_t @ q0)
-        gain += np.square(residuals_t @ q1)
+        gain = np.square(residuals32 @ q0)
+        gain += np.square(residuals32 @ q1)
         ill = ratio <= _F32_GRAM_RATIO
         gain[:, ill] = -np.inf  # an ill-conditioned float32 energy may be too high
         return gain, ill
 
-    # Seeded near each column's peak, the best keeps few of the first chunks'
-    # nodes: unseeded, a 1e6-node scan kept 1e5 of them.
+    # Seeded near each column's peak, the running best queues few of the
+    # first chunks' nodes: unseeded, a 1e6-node scan kept 1e5 of them.
     spread = omegas[:: -(-omegas.size // _SCAN_CHUNK)]
-    best = energies(_cis(spread, phi.n_cols).astype(np.complex64))[0].max(axis=1)
+    best32 = energies(_cis(spread, phi.n_cols).astype(np.complex64))[0].max(axis=1)
     # node start + j is omega_start + omega_j: rotate the first chunk's phasors
     table = _cis(omegas[:_SCAN_CHUNK], phi.n_cols).astype(np.complex64)
     phasors = np.empty_like(table)
-    cols, nodes, gains = [], [], []  # the kept (column, node) pairs and their gains
-    ill_nodes = []  # kept for every column
-    n_kept, prune_at = 0, n_batch
+    # best float64 captured energy per column; larger gain means smaller error
+    best_gain = np.full(n_batch, -np.inf)
+    best_omega = np.zeros(n_batch)
+    cols = np.arange(n_batch)
+    pending, n_pending = [], 0  # queued node indices, ascending
     for start in range(0, omegas.size, _SCAN_CHUNK):
         size = min(_SCAN_CHUNK, omegas.size - start)
         rotation = _cis(omegas[start:start + 1], phi.n_cols).astype(np.complex64)
         np.multiply(table, rotation, out=phasors)
         gain, ill = energies(phasors[:, :size])
-        ill_nodes.append(start + np.flatnonzero(ill))
-        np.maximum(best, gain.max(axis=1), out=best)
-        near = gain >= (best - slack)[:, None]
-        j = np.flatnonzero(near.any(axis=0))  # few columns: nonzero on all is slow
-        col, k = np.nonzero(near[:, j])
-        cols.append(col)
-        nodes.append(start + j[k])
-        gains.append(gain[col, j[k]])
-        n_kept += col.size
-        last = start + size == omegas.size
-        if n_kept < prune_at and not last:
+        np.maximum(best32, gain.max(axis=1), out=best32)
+        near = np.any(gain >= (best32 - slack)[:, None], axis=0)
+        pending.append(start + np.flatnonzero(near | ill))
+        n_pending += pending[-1].size
+        if n_pending < _SCAN_CHUNK and start + size < omegas.size:
             continue
-        col, node, g = (np.concatenate(x) for x in (cols, nodes, gains))
-        live = g >= best[col] - slack[col]
-        col, node, g = col[live], node[live], g[live]
-        if last or col.size + sum(map(len, ill_nodes)) >= n_batch * _SCAN_CHUNK:
-            yield np.unique(np.concatenate((node, *ill_nodes)))
-            col, node, g = col[:0], node[:0], g[:0]
-            ill_nodes = []
-        cols, nodes, gains = [col], [node], [g]
-        n_kept, prune_at = col.size, 2 * col.size + n_batch
+        nodes = omegas[np.concatenate(pending)]
+        pending, n_pending = [], 0
+        q0, q1, _ = _orthonormal_pairs(_measured_atoms(phi.entries, nodes))
+        gain = np.square(residuals_t @ q0)
+        gain += np.square(residuals_t @ q1)
+        j = np.argmax(gain, axis=1)
+        g_max = gain[cols, j]
+        better = g_max > best_gain
+        best_gain = np.where(better, g_max, best_gain)
+        best_omega = np.where(better, nodes[j], best_omega)
+
+    s_exact = np.empty(n_batch)
+    for col in range(n_batch):
+        pair = build_atoms(phi, float(best_omega[col]))
+        s_exact[col] = amplitude_ls(pair, scaled[:, col])[2]
+    return best_omega, np.ldexp(s_exact, 2 * exps)
 
 
 def bomp_recover(phi: SensingMatrix, m: Measurement, k: int) -> SignalModel:

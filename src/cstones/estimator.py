@@ -21,11 +21,12 @@ row of Phi (``_dft_atoms``, which returns the bins too); arbitrary
 frequencies (the polish fits, ``oracle_ls``) take one GEMM on directly
 evaluated cos/sin samples (``_measured_atoms``).  The grid oracle scores
 every node of its uniform scan in float32, rotating one such table
-(``_cis``) per chunk, then rescores the nodes near each residual's best in
-float64 through ``_measured_atoms``; nothing else leaves float64.  All feed
-the pair bases of ``_orthonormal_pairs``, against which a residual is
-scored by its captured energy, and whose Gram ratios tell the float32 scan
-which pairs it cannot trust.
+(``_cis``) per chunk, and rescores the nodes near each residual's running
+best in float64 through ``_measured_atoms``, in batches, as the scan goes;
+nothing else leaves float64.  All feed the pair bases of
+``_orthonormal_pairs``, against which a residual is scored by its captured
+energy, and whose Gram ratios tell the oracle's float32 scoring which
+pairs it cannot trust.
 """
 
 from __future__ import annotations
@@ -54,11 +55,6 @@ _MAX_NEWTON_STEPS = 60
 # Atom pairs whose Gram determinant is at most this times trace^2 are solved
 # rank-1 (omega at 0 or pi, where the sine column vanishes).
 _GRAM_DET_TOL = 1e-12
-# estimate_sinusoid rescales a residual whose largest entry lies outside
-# [2^-_SAFE_EXP, 2^_SAFE_EXP].  Inside, every square and Newton term stays
-# far within float64's range, and r is read as given: a scaled copy is
-# contiguous, and BLAS sums it in another order than a strided view of r.
-_SAFE_EXP = 256
 # A grid node whose captured energy falls short of the best by more than
 # this times ||r||^2 cannot have the least error: the energy and the
 # error's direct form each carry rounding of a few eps * ||r||^2.
@@ -201,8 +197,8 @@ def _orthonormal_pairs(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     nothing.  The
     estimator's grid round, the grid oracle and BOMP all take their pair
     bases from here; the ratio is returned rather than a float32 threshold
-    taken, so the one rank rule stays here and only the grid oracle's
-    float32 stage, its one reader, knows which ratios float32 cannot trust.
+    taken, so the one rank rule stays here and only ``grid_oracle_batch``'s
+    float32 scoring, its one reader, knows which ratios float32 cannot trust.
     """
     v = np.ascontiguousarray(w[..., 0])
     u = np.ascontiguousarray(w[..., 1])
@@ -336,10 +332,10 @@ def estimate_sinusoid(
     point whose pair is degenerate (within rounding of 0 or pi) ends the
     search at once, on the bracket end of lower s.  The returned
     residual_sq is exactly ``amplitude_ls`` re-evaluated at the returned
-    frequency.  A residual with max |r| outside [2^-_SAFE_EXP, 2^_SAFE_EXP]
-    is searched as r / 2^e with max |r / 2^e| in [0.5, 1), so that no square
-    overflows or underflows, and amplitudes and squared errors are scaled
-    back by 2^e and 2^2e: the frequency does not depend on the scale of r.
+    frequency.  The search runs on r / 2^e with max |r / 2^e| in [0.5, 1),
+    an exact, contiguous copy, so that no square overflows or underflows and
+    the result depends neither on the scale of r nor on its memory layout;
+    amplitudes and squared errors are scaled back by 2^e and 2^2e.
     """
     r = np.asarray(r, dtype=float)
     if r.ndim != 1 or r.size != phi.m_rows:
@@ -349,10 +345,8 @@ def estimate_sinusoid(
     r_max = float(np.max(np.abs(r)))
     if r_max == 0.0:
         raise ValueError("residual is identically zero; nothing to estimate")
-    e = 0
-    if not 2.0**-_SAFE_EXP <= r_max <= 2.0**_SAFE_EXP:
-        e = math.frexp(r_max)[1]  # a power of two: the scaled search is exact
-        r = np.ldexp(r, -e)
+    e = math.frexp(r_max)[1]  # a power of two: the scaled search is exact
+    r = np.ldexp(r, -e)
     n = phi.n_cols
     if n < 2:
         raise ValueError(f"the frequency grid needs N >= 2 columns, got N={n}")
@@ -402,9 +396,9 @@ def estimate_sinusoid(
         a1, a2, s_final = amplitude_ls(build_atoms(phi, omega_hat), r)
     elif len(s_history) > 1:
         brackets.append((a, b))
-    if e:  # np.ldexp, not math.ldexp: a squared error past the float range is inf
-        a1, a2 = math.ldexp(a1, e), math.ldexp(a2, e)
-        s_final, *s_history = np.ldexp([s_final, *s_history], 2 * e).tolist()
+    # np.ldexp, not math.ldexp: a squared error past the float range is inf
+    a1, a2 = math.ldexp(a1, e), math.ldexp(a2, e)
+    s_final, *s_history = np.ldexp([s_final, *s_history], 2 * e).tolist()
     return EstimateOutcome(
         params=SinusoidParams.from_linear(omega_hat, a1, a2),
         residual_sq=s_final,

@@ -107,8 +107,9 @@ def _assemble_model(params: list[SinusoidParams | None], n: int) -> SignalModel:
     """Turn per-slot parameters into a valid model.
 
     Empty slots get zero-amplitude components at distinct placeholder
-    frequencies; exact-duplicate frequencies are nudged apart by one ulp so
-    the model's distinctness invariant holds (the synthesized signal is
+    frequencies; exact-duplicate frequencies are nudged apart by one ulp,
+    away from the nearer band end so that they stay inside (0, pi), and the
+    model's distinctness invariant holds (the synthesized signal is
     unchanged at double precision).
     """
     k = len(params)
@@ -118,8 +119,9 @@ def _assemble_model(params: list[SinusoidParams | None], n: int) -> SignalModel:
         if p is None:
             p = SinusoidParams(omega=math.pi * (i + 1) / (k + 1), amplitude=0.0, phase=0.0)
         omega = p.omega
+        away = math.pi if omega < math.pi / 2 else 0.0
         while omega in used:
-            omega = math.nextafter(omega, math.pi)
+            omega = math.nextafter(omega, away)
         used.add(omega)
         if omega != p.omega:
             p = SinusoidParams(omega=omega, amplitude=p.amplitude, phase=p.phase)

@@ -197,13 +197,13 @@ class TestGridOracle:
     def test_float32_stage_error_and_kept_set(self, phi, monkeypatch):
         # the float32 energies the scan scores against: within a hundredth of
         # the slack of float64 wherever the pair is well conditioned, and the
-        # kept nodes always hold each column's float64 argmax
+        # nodes rescored in float64 always hold each column's float64 argmax
         rng = np.random.default_rng(17)
         tones = [build_atoms(phi, w) @ rng.normal(size=2) for w in rng.uniform(0.0, math.pi, 12)]
         residuals = np.column_stack([*rng.normal(size=(12, phi.m_rows)), *tones])
         grid_size = 2 * baselines._SCAN_CHUNK + 301
         bases32, kept = [], []
-        pairs, candidates = baselines._orthonormal_pairs, baselines._float32_candidates
+        pairs, atoms = baselines._orthonormal_pairs, baselines._measured_atoms
 
         def spy_pairs(w):
             out = pairs(w)
@@ -211,13 +211,12 @@ class TestGridOracle:
                 bases32.append(out)
             return out
 
-        def spy_candidates(*args):
-            for nodes in candidates(*args):
-                kept.append(nodes)
-                yield nodes
+        def spy_atoms(entries, nodes):
+            kept.append(nodes)
+            return atoms(entries, nodes)
 
         monkeypatch.setattr(baselines, "_orthonormal_pairs", spy_pairs)
-        monkeypatch.setattr(baselines, "_float32_candidates", spy_candidates)
+        monkeypatch.setattr(baselines, "_measured_atoms", spy_atoms)
         omegas, _ = grid_oracle_batch(phi, residuals, grid_size)
 
         scaled = np.ldexp(residuals, -np.frexp(np.max(np.abs(residuals), axis=0))[1])
@@ -235,20 +234,28 @@ class TestGridOracle:
             assert gain32.shape == ref.shape
             assert np.all(np.abs(gain32 - ref)[:, well] <= bound[:, None])
         best = np.argmax(gain64, axis=1)
-        kept = np.concatenate(kept)
-        assert np.all(np.isin(best, kept))
-        assert np.all(np.isin(np.flatnonzero(~well), kept))  # ill-conditioned: always rescored
+        assert max(nodes.size for nodes in kept) <= 2 * baselines._SCAN_CHUNK - 1
+        kept = np.concatenate(kept)  # frequencies, not indices
+        assert np.all(np.isin(grid[best], kept))
+        assert np.all(np.isin(grid[~well], kept))  # ill-conditioned: always rescored
         np.testing.assert_array_equal(omegas, grid[best])
 
     @pytest.mark.filterwarnings("error")
-    def test_single_row_every_pair_rank_one(self):
+    def test_single_row_every_pair_rank_one(self, monkeypatch):
         # with M = 1 every pair is rank-1, so every node captures all of r
         # and the lowest index wins; float32 rounding may call such a pair
-        # regular and normalize 0 / 0, which must stay masked and silent
+        # regular and normalize 0 / 0, which must stay masked and silent.
+        # Every node is rescored, still in batches of fewer than two chunks.
+        batches, atoms = [], baselines._measured_atoms
+        monkeypatch.setattr(
+            baselines, "_measured_atoms", lambda e, w: batches.append(w.size) or atoms(e, w)
+        )
         residuals = np.random.default_rng(19).normal(size=(1, 3))
         omegas, s_vals = grid_oracle_batch(gaussian_matrix(1, 8, seed=5), residuals, 2001)
         assert np.all(omegas == 0.0)
         assert np.all(s_vals <= 1e-30)
+        assert sum(batches) == 2001
+        assert max(batches) <= 2 * baselines._SCAN_CHUNK - 1
 
     def test_hundred_thousand_nodes_match_float64_reference(self):
         # tones inside the band and next to both ends, whose nearest nodes

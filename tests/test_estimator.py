@@ -503,6 +503,18 @@ class TestEstimateSinusoid:
         assert out.params.amplitude == pytest.approx(scale * base.params.amplitude, rel=1e-12)
         assert out.params.phase == pytest.approx(base.params.phase, abs=1e-12)
 
+    def test_strided_view_same_outcome_as_contiguous_copy(self):
+        # criterion 1's fixture passes the columns of an M x 100 array; BLAS
+        # sums a strided view in another order than a contiguous vector
+        phi = gaussian_matrix(64, 128, seed=101)
+        residuals = np.empty((64, 100))
+        for i in range(100):
+            model = draw_model(1, 128, math.pi / 128, "sinu", seed=7000 + i)
+            residuals[:, i] = measure(phi, synthesize(model)).values
+        for i in range(100):
+            view = residuals[:, i]
+            assert estimate_sinusoid(phi, view) == estimate_sinusoid(phi, view.copy()), i
+
     def test_low_index_tie_break(self):
         # a symmetric two-point grid cannot occur with real atoms, but equal
         # S values must keep the lowest grid index: on this residual the

@@ -68,13 +68,13 @@ def test_trig_fft_and_grids_have_one_source_each():
     assert uses == allowed, {"outside their source": uses - allowed, "unused": allowed - uses}
 
 
-# Reduced precision stays inside the grid oracle's float32 stage: criteria 5
+# Reduced precision stays inside the grid oracle's float32 scoring: criteria 5
 # and 7 compare errors near 1e-15, so a float32 step in recover or the
 # estimator would decide them by its rounding.
 REDUCED_PRECISION = {
     "float16", "float32", "complex64", "half", "single", "csingle", "f2", "f4", "c8"
 }
-REDUCED_PRECISION_PLACES = {"baselines.grid_oracle_batch", "baselines._float32_candidates"}
+REDUCED_PRECISION_PLACES = {"baselines.grid_oracle_batch"}
 
 
 def _reduced_precision_uses(path):
@@ -102,7 +102,7 @@ def test_reduced_precision_only_in_the_oracle_scan():
     places = set()
     for path in (ROOT / "src" / "cstones").glob("*.py"):
         places |= _reduced_precision_uses(path)
-    assert places and places <= REDUCED_PRECISION_PLACES, places
+    assert places == REDUCED_PRECISION_PLACES, places
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -390,6 +390,14 @@ _P = SinusoidParams
             [None, _P(math.pi / 3, 2.0, 0.5)],
             [(math.pi / 3, 0.0), (math.nextafter(math.pi / 3, 4), 2.0)],
         ),
+        # next to pi the later one moves down, or it would land on pi
+        (
+            [_P(math.nextafter(math.pi, 0), 2.0, 0.5), _P(math.nextafter(math.pi, 0), 3.0, 0.5)],
+            [
+                (math.nextafter(math.pi, 0), 2.0),
+                (math.nextafter(math.nextafter(math.pi, 0), 0), 3.0),
+            ],
+        ),
     ],
 )
 def test_assemble_model_keeps_frequencies_distinct(params, expected):
