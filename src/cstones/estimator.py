@@ -214,10 +214,13 @@ def _orthonormal_pairs(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     q1 = q0 * -(guv * inv_v)
     q1 += u
     q1 *= 1.0 / np.sqrt(np.where(regular, np.einsum("ij,ij->j", q1, q1), 1.0))
-    for idx in np.nonzero(~regular)[0]:
-        g_dom, col = (guu[idx], u[:, idx]) if guu[idx] >= gvv[idx] else (gvv[idx], v[:, idx])
-        q0[:, idx] = col / math.sqrt(g_dom) if g_dom > 0 else 0.0
-        q1[:, idx] = 0.0
+    degenerate = np.flatnonzero(~regular)
+    if degenerate.size:
+        use_u = guu[degenerate] >= gvv[degenerate]
+        norm = np.sqrt(np.where(use_u, guu[degenerate], gvv[degenerate]))
+        col = np.where(use_u, u[:, degenerate], v[:, degenerate])
+        q0[:, degenerate] = np.divide(col, norm, out=np.zeros_like(col), where=norm > 0)
+        q1[:, degenerate] = 0.0
     return q0, q1, ratio
 
 
@@ -268,6 +271,28 @@ def _grid_eval(tables, r):
     s = np.full(gain.size, math.inf)
     s[nodes] = np.einsum("ij,ij->j", res, res)
     return s
+
+
+def _grid_round(phi: SensingMatrix, r: np.ndarray):
+    """The full-band grid round on a finite residual ``r``; raises
+    ValueError when r is identically zero.
+
+    The round runs on r / 2^e with max |r / 2^e| in [0.5, 1), an exact,
+    contiguous copy, so that no square overflows or underflows and the
+    round depends neither on the scale of r nor on its memory layout.
+    Returns that copy, e, every node's error from ``_grid_eval`` (at the
+    copy's scale) and the node indices (lo, j, hi) of the best node j
+    (lowest index on ties) and of its neighbours, clipped to the band:
+    the bracket [omega_lo, omega_hi] that holds j's cell.
+    """
+    r_max = float(np.max(np.abs(r)))
+    if r_max == 0.0:
+        raise ValueError("residual is identically zero; nothing to estimate")
+    e = math.frexp(r_max)[1]  # a power of two: scaling is exact
+    r = np.ldexp(r, -e)
+    s = _grid_eval(_full_band(phi)[1], r)
+    j = int(np.argmin(s))
+    return r, e, s, (max(j - 1, 0), j, min(j + 1, s.size - 1))
 
 
 def _s_derivatives(stacked: np.ndarray, r: np.ndarray, omega: float):
@@ -332,9 +357,8 @@ def estimate_sinusoid(
     point whose pair is degenerate (within rounding of 0 or pi) ends the
     search at once, on the bracket end of lower s.  The returned
     residual_sq is exactly ``amplitude_ls`` re-evaluated at the returned
-    frequency.  The search runs on r / 2^e with max |r / 2^e| in [0.5, 1),
-    an exact, contiguous copy, so that no square overflows or underflows and
-    the result depends neither on the scale of r nor on its memory layout;
+    frequency.  The search runs on the grid round's copy r / 2^e, so the
+    result depends neither on the scale of r nor on its memory layout;
     amplitudes and squared errors are scaled back by 2^e and 2^2e.
     """
     r = np.asarray(r, dtype=float)
@@ -342,11 +366,6 @@ def estimate_sinusoid(
         raise ValueError(f"residual length {r.shape} does not match matrix m={phi.m_rows}")
     if not np.all(np.isfinite(r)):
         raise ValueError("residual must be finite (no NaN or inf)")
-    r_max = float(np.max(np.abs(r)))
-    if r_max == 0.0:
-        raise ValueError("residual is identically zero; nothing to estimate")
-    e = math.frexp(r_max)[1]  # a power of two: the scaled search is exact
-    r = np.ldexp(r, -e)
     n = phi.n_cols
     if n < 2:
         raise ValueError(f"the frequency grid needs N >= 2 columns, got N={n}")
@@ -355,10 +374,8 @@ def estimate_sinusoid(
     elif not (type(newton_steps) is int and newton_steps >= 1):  # refuses bool, an int subclass
         raise ValueError(f"newton_steps must be a positive integer or None, got {newton_steps!r}")
 
-    omegas, tables, stacked = _full_band(phi)
-    s = _grid_eval(tables, r)
-    j = int(np.argmin(s))
-    lo, hi = max(j - 1, 0), min(j + 1, n)
+    r, e, s, (lo, j, hi) = _grid_round(phi, r)
+    omegas, _, stacked = _full_band(phi)
     a, b, s_a, s_b = float(omegas[lo]), float(omegas[hi]), float(s[lo]), float(s[hi])
     brackets = [(0.0, math.pi), (a, b)]
     s_history = [float(s[j])]

@@ -9,14 +9,19 @@ the slots in index order; for slot i it forms the residual measurement
 where s_j are the samples of slot j, and replaces slot i with the single
 best-matching sinusoid for r.  A replacement is only accepted if it lowers
 the slot's squared residual by more than the polish's rounding slack, which
-keeps the residual norms non-increasing and a polished fit in place.
+keeps the residual norms non-increasing and a polished fit in place.  Once
+a polish has been kept, a visit first runs the estimator's grid round alone
+on r: when the best node's bracket [omega_(j-1), omega_(j+1)] holds the
+slot's frequency, the Newton steps would start in the polished frequency's
+cell, so the slot stays as it is and the estimator is not called.
 
 Cyclic descent converges only linearly, so a sweep merely lands every slot
 in its basin, and each of its estimates stops after three Newton steps.
 The polish that follows each sweep minimizes ||m - A(w) c|| over all K
 frequencies w at once, with the 2K linear amplitudes c projected out by
 least squares (variable projection, Golub & Pereyra 1973), by
-Levenberg-Marquardt steps on Kaufman's Jacobian; it is kept only if it
+Levenberg-Marquardt steps on Kaufman's Jacobian, which stop once a taken
+step no longer lowers the error beyond rounding; it is kept only if it
 lowers the measurement residual.  This is Newtonized OMP's order, detection
 then joint refinement (Mamandipoor, Ramasamy & Madhow 2016).  The rounds
 stop after ``RecoveryConfig.max_sweeps`` sweeps, at a sweep that changes no
@@ -33,7 +38,13 @@ from typing import ClassVar
 
 import numpy as np
 
-from .estimator import _full_band, _measured_atoms, _params_from_coef, estimate_sinusoid
+from .estimator import (
+    _full_band,
+    _grid_round,
+    _measured_atoms,
+    _params_from_coef,
+    estimate_sinusoid,
+)
 from .model import SignalModel, SinusoidParams, component_samples, synthesize
 from .sensing import Measurement, SensingMatrix
 
@@ -48,13 +59,14 @@ __all__ = [
 # then sets every frequency to machine precision.
 _WARMUP_NEWTON_STEPS = 3
 # The polish ends once a trial step moves no frequency by more than this,
-# or after this many trial steps.
+# or after this many trial steps (or at a flat step, see _POLISH_COST_SLACK).
 _POLISH_STEP_TOL = 1e-12
 _POLISH_MAX_TRIALS = 30
 # A trial step counts as no worse if it raises ||e||^2 by at most this
 # relative amount, the rounding noise of the fit: near the optimum the
 # Gauss-Newton step, taken from the gradient, still points the right way
-# when the change in ||e||^2 is lost in rounding.
+# when the change in ||e||^2 is lost in rounding.  A taken step that lowers
+# ||e||^2 by no more than this ends the polish: the cost is at its floor.
 _POLISH_COST_SLACK = 1e-13
 # A kept polish whose residual is at most this fraction of ||m|| certifies
 # an exact fit and ends the recovery: in every noiseless draw measured, an
@@ -85,7 +97,9 @@ class RecoveryResult:
     """Recovered model plus convergence bookkeeping.
 
     ``signal`` is exactly ``synthesize(model)``.  ``sweeps_used`` counts
-    the cyclic sweeps only, so the recovery made k estimates per sweep.
+    the cyclic sweeps only.  A sweep makes at most k estimates: k before
+    the first kept polish, and after it one per slot that its grid round
+    does not confirm.
     ``sweep_residual_norms`` holds the measurement-domain residual norm
     after each sweep and after each kept polish, in the order they ran (a
     non-increasing sequence).  ``stop_reason`` is ``"zero_input"`` for a
@@ -164,8 +178,9 @@ def _polish(stacked: np.ndarray, mv: np.ndarray, omegas: np.ndarray):
     (J^T J + lam diag(J^T J)) delta = D^T e; a step is taken only if it
     keeps the frequencies admissible and does not raise ||e||^2 beyond
     _POLISH_COST_SLACK, and lam shrinks tenfold on a taken step and grows
-    tenfold on a refused one.  Returns the final frequencies and
-    coefficients.
+    tenfold on a refused one.  A taken step that lowers ||e||^2 by at most
+    _POLISH_COST_SLACK ||e||^2 is the last.  Returns the final frequencies
+    and coefficients.
     """
     weighted = stacked[: 2 * mv.size]
     a, coef, d, cost = _projected_fit(weighted, mv, omegas)
@@ -180,7 +195,10 @@ def _polish(stacked: np.ndarray, mv: np.ndarray, omegas: np.ndarray):
         trial = omegas + delta
         fit = _projected_fit(weighted, mv, trial) if _admissible(trial) else None
         if fit is not None and fit[3] <= cost * (1.0 + _POLISH_COST_SLACK):
+            flat = cost - fit[3] <= cost * _POLISH_COST_SLACK
             omegas, (a, coef, d, cost) = trial, fit
+            if flat:  # the cost has reached its rounding floor
+                break
             jtj = None
             lam *= 0.1
         else:
@@ -219,7 +237,10 @@ def recover(
     which no model admits, and emits a warning (and still runs) when 3k
     exceeds the measurement count, i.e. more parameters than equations.
     Every warm-up estimate stops after _WARMUP_NEWTON_STEPS evaluations of
-    s', and the joint polish owns the precision.  A zero measurement
+    s', and the joint polish owns the precision.  After a kept polish, a
+    visit whose grid round brackets the slot's frequency keeps the slot
+    without an estimate, so a sweep whose visits all do so is the fixed
+    point that ends a noisy recovery.  A zero measurement
     returns the all-zero model immediately.  A round's polish is skipped
     when its sweep leaves a slot empty or fits ``m`` exactly, and a
     certified exact fit is polished once more from its own output before
@@ -258,6 +279,7 @@ def recover(
     e = math.frexp(m_max)[1]
     mv = np.ldexp(m.values, -e)
     certified = _CERTIFIED_FIT * float(np.linalg.norm(mv))
+    band = _full_band(phi)[0]
     params: list[SinusoidParams | None] = [None] * k
     measured = [np.zeros(phi.m_rows) for _ in range(k)]
     sweep_norms: list[float] = []
@@ -271,6 +293,12 @@ def recover(
                 params[i] = None
                 measured[i] = np.zeros(phi.m_rows)
                 continue
+            if stop_reason == "polished" and params[i] is not None:
+                # a polished slot inside the cell of the grid round's best
+                # node stays: Newton steps from that node only re-find it
+                lo, _, hi = _grid_round(phi, r)[3]
+                if band[lo] <= params[i].omega <= band[hi]:
+                    continue
             outcome = estimate_sinusoid(phi, r, newton_steps=_WARMUP_NEWTON_STEPS)
             cand_measured = phi.entries @ component_samples(outcome.params, n)
             old_sq = float(np.sum((r - measured[i]) ** 2))

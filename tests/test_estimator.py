@@ -184,6 +184,28 @@ class TestOrthonormalPairs:
         assert np.all(ratio[1:-1] > estimator._GRAM_DET_TOL)
         assert ratio[0] <= estimator._GRAM_DET_TOL and ratio[-1] <= estimator._GRAM_DET_TOL
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_degenerate_pairs_match_per_pair_loop(self, m, dtype):
+        # the array pick of each degenerate pair's dominant column equals,
+        # bit for bit, a loop over the pairs that divides by math.sqrt
+        w = np.random.default_rng(53).normal(size=(m, 80, 2))
+        w[:, 0::4, 1] = 0.0  # the sine column vanishes, as at 0 and pi
+        w[:, 1::4, 1] = 3.0 * w[:, 1::4, 0]  # the sine column dominates
+        w[:, 2::4, 0] = 0.5 * w[:, 2::4, 1]
+        w[:, 3::8] = 0.0  # a zero pair gains nothing
+        w = w.astype(dtype)
+        q0, q1, ratio = estimator._orthonormal_pairs(w)
+        v, u = np.ascontiguousarray(w[..., 0]), np.ascontiguousarray(w[..., 1])
+        gvv, guu = np.einsum("ij,ij->j", v, v), np.einsum("ij,ij->j", u, u)
+        degenerate = np.flatnonzero(ratio <= estimator._GRAM_DET_TOL)
+        assert degenerate.size >= 40, degenerate.size
+        for idx in degenerate:
+            g, col = (guu[idx], u[:, idx]) if guu[idx] >= gvv[idx] else (gvv[idx], v[:, idx])
+            want = col / math.sqrt(g) if g > 0 else np.zeros_like(col)
+            assert q0[:, idx].dtype == dtype and q0[:, idx].tobytes() == want.tobytes(), idx
+            assert not q1[:, idx].any()
+
 
 class TestRoundTableCache:
     """The one cached round-1 table: the full band of the most recent matrix."""

@@ -68,6 +68,34 @@ def test_trig_fft_and_grids_have_one_source_each():
     assert uses == allowed, {"outside their source": uses - allowed, "unused": allowed - uses}
 
 
+def _name_uses(path, name):
+    """module.function for every reference to ``name`` in the file: bare,
+    as an attribute or imported."""
+    places = set()
+
+    def visit(node, scope):
+        if isinstance(node, ast.FunctionDef):
+            scope = node.name
+        if name in (getattr(node, "id", None), getattr(node, "attr", None)) or (
+            isinstance(node, ast.alias) and node.name == name
+        ):
+            places.add(f"{path.stem}.{scope}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return places
+
+
+def test_grid_round_has_one_source():
+    # the estimator and recovery's confirming visits both score the full
+    # band through estimator._grid_round, scaling included
+    places = set()
+    for path in (ROOT / "src" / "cstones").glob("*.py"):
+        places |= _name_uses(path, "_grid_eval")
+    assert places == {"estimator._grid_round"}, places
+
+
 # Reduced precision stays inside the grid oracle's float32 scoring: criteria 5
 # and 7 compare errors near 1e-15, so a float32 step in recover or the
 # estimator would decide them by its rounding.

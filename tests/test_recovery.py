@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cstones.estimator import estimate_sinusoid
+from cstones.harness import ExperimentSpec, run_experiment
 from cstones.model import (
     NoiseSpec,
     SignalModel,
@@ -43,6 +44,39 @@ def traced_estimates(monkeypatch):
 
     monkeypatch.setattr(recovery, "estimate_sinusoid", traced)
     return calls
+
+
+def traced_visits(monkeypatch):
+    """Log recovery's warm-up visits and kept polishes in the order they run:
+    ("estimate",) per estimator call, ("grid", lo, hi) per grid round of
+    recovery's own, [lo, hi] the bracket around its best node, and
+    ("polish", frequencies) per kept polish."""
+    log = []
+    grid_round, estimate, kept_polish = (
+        recovery._grid_round, recovery.estimate_sinusoid, recovery._kept_polish
+    )
+
+    def traced_grid_round(phi, r):
+        out = grid_round(phi, r)
+        lo, _, hi = out[3]
+        band = estimator._full_band(phi)[0]
+        log.append(("grid", float(band[lo]), float(band[hi])))
+        return out
+
+    def traced_estimate(*args, **kwargs):
+        log.append(("estimate",))
+        return estimate(*args, **kwargs)
+
+    def traced_kept_polish(*args):
+        kept = kept_polish(*args)
+        if kept is not None:
+            log.append(("polish", [p.omega for p in kept[0]]))
+        return kept
+
+    monkeypatch.setattr(recovery, "_grid_round", traced_grid_round)
+    monkeypatch.setattr(recovery, "estimate_sinusoid", traced_estimate)
+    monkeypatch.setattr(recovery, "_kept_polish", traced_kept_polish)
+    return log
 
 
 class TestRecover:
@@ -221,18 +255,51 @@ class TestRecover:
         assert result.final_residual_norm <= bound
 
     def test_noisy_input_ends_at_a_sweep_after_kept_polish(self, monkeypatch):
-        # 20 dB never certifies: sweep, kept polish, then a sweep that
-        # changes no slot ends the recovery after 2k estimates
+        # 20 dB never certifies: sweep, kept polish, then a sweep in which
+        # the grid round confirms every slot ends the recovery after k
+        # estimates
         truth = draw_model(3, 256, math.pi / 256, "sinu", seed=0)
         x = add_noise(synthesize(truth), NoiseSpec(snr_db=20.0, seed=1))
         phi = subsampling_matrix(64, 256, seed=7)
-        calls = traced_estimates(monkeypatch)
+        log = traced_visits(monkeypatch)
         result = recover(phi, measure(phi, x), RecoveryConfig(k=3))
         norms = result.sweep_residual_norms
-        assert (result.stop_reason, result.sweeps_used, len(calls)) == ("polished", 2, 6)
+        assert (result.stop_reason, result.sweeps_used) == ("polished", 2)
+        # 3 estimator calls, then 3 visits that no estimator call follows
+        assert [entry[0] for entry in log] == ["estimate"] * 3 + ["polish"] + ["grid"] * 3
         assert len(norms) == 3 and norms[0] > norms[1] == norms[2]
         bound = recovery._CERTIFIED_FIT * float(np.linalg.norm(x))
         assert result.final_residual_norm > bound
+
+    def test_grid_round_missing_a_polished_slot_falls_through(self, monkeypatch):
+        # noisy_sweep job 2597 of the seed-1311 pool: after the first kept
+        # polish, slot 1 lies outside its grid round's bracket, so that
+        # visit runs the estimator, which moves the slot; a second polish
+        # and a sweep that the grid rounds confirm follow
+        spec = ExperimentSpec(
+            sweep_axis="snr", sweep_values=(20.0,), n=256, k=3, preset="sinu",
+            matrix_kind=SUBSAMPLING, fixed_m=64, trials=1, base_seed=669125345,
+            methods=("mds", "oracle"),
+        )
+        log = traced_visits(monkeypatch)
+        rows = run_experiment(spec).rows
+        assert [entry[0] for entry in log] == (
+            ["estimate"] * 3 + ["polish", "grid", "grid", "estimate", "grid", "polish"]
+            + ["grid"] * 3
+        )
+        # visit i after a kept polish sees slot i as that polish left it
+        misses = 0
+        for entry, following in zip(log, log[1:] + [("end",)]):
+            if entry[0] == "polish":
+                slots, visit = entry[1], 0
+            elif entry[0] == "grid":
+                inside = entry[1] <= slots[visit] <= entry[2]
+                assert (following[0] == "estimate") == (not inside), visit
+                misses += not inside
+                visit += 1
+        assert misses == 1
+        nl2 = {row.method: row.nl2_error for row in rows}
+        assert nl2["mds"] / nl2["oracle"] <= 1.5
 
     def test_warm_up_refuses_rounding_level_gain(self, monkeypatch):
         # with the polish refused, the second sweep is offered each slot's
@@ -373,6 +440,63 @@ class TestPolish:
         assert any(w[0] <= 0.0 for w in proposed)
         assert all(0.0 < w[0] < math.pi for w in fitted)
         assert abs(omegas[0] - 0.002) < 1e-9
+
+    @staticmethod
+    def traced_polish_costs(monkeypatch):
+        """One list per polish: the ||e||^2 of each of its projected fits."""
+        costs = []
+        polish, fit = recovery._polish, recovery._projected_fit
+
+        def traced_polish(*args):
+            costs.append([])
+            return polish(*args)
+
+        def traced_fit(*args):
+            out = fit(*args)
+            costs[-1].append(out[3])
+            return out
+
+        monkeypatch.setattr(recovery, "_polish", traced_polish)
+        monkeypatch.setattr(recovery, "_projected_fit", traced_fit)
+        return costs
+
+    @staticmethod
+    def flat_taken_steps(costs):
+        """Per trial fit of one polish: None if refused, else whether the
+        taken step lowered ||e||^2 by at most _POLISH_COST_SLACK ||e||^2."""
+        slack = recovery._POLISH_COST_SLACK
+        cost, *trials = costs
+        flags = []
+        for trial in trials:
+            if trial <= cost * (1.0 + slack):
+                flags.append(cost - trial <= cost * slack)
+                cost = trial
+            else:
+                flags.append(None)
+        return flags
+
+    def test_noisy_polish_ends_at_its_first_flat_step(self, monkeypatch):
+        # at 20 dB the cost reaches its rounding floor before the steps
+        # shrink below _POLISH_STEP_TOL: the first flat step is the last
+        truth = draw_model(3, 256, math.pi / 256, "sinu", seed=0)
+        x = add_noise(synthesize(truth), NoiseSpec(snr_db=20.0, seed=1))
+        phi = subsampling_matrix(64, 256, seed=7)
+        costs = self.traced_polish_costs(monkeypatch)
+        recover(phi, measure(phi, x), RecoveryConfig(k=3))
+        assert len(costs) == 1
+        flags = self.flat_taken_steps(costs[0])
+        assert flags.index(True) == len(flags) - 1, flags
+
+    def test_noiseless_polish_takes_no_flat_step(self, monkeypatch):
+        # a noiseless flagship input: both polishes stop on step size
+        # before any flat step, so they run as many fits (6 and 2) as they
+        # would without the flat-cost stop
+        truth = draw_model(3, 128, math.pi / 128, "freq", seed=8)
+        phi = gaussian_matrix(64, 128, seed=9)
+        costs = self.traced_polish_costs(monkeypatch)
+        recover(phi, measure(phi, synthesize(truth)), RecoveryConfig(k=3))
+        assert [len(c) for c in costs] == [6, 2]
+        assert not any(True in self.flat_taken_steps(c) for c in costs)
 
 
 _P = SinusoidParams
