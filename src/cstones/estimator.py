@@ -245,19 +245,31 @@ def _full_band(phi: SensingMatrix):
     return omegas, (q0, q1), stacked
 
 
-def _grid_eval(tables, r):
-    """Least-squares squared error of ``r`` at the grid round's contenders.
+def _grid_round(phi: SensingMatrix, r: np.ndarray):
+    """The full-band grid round on a finite residual ``r``; raises
+    ValueError when r is identically zero.
 
-    With each pair's orthonormal basis (q0, q1) the fit captures the energy
-    (q0 . r)^2 + (q1 . r)^2 and leaves ||r||^2 minus it, so two GEMVs score
-    every node.  The nodes whose captured energy is within _GAIN_ROUNDING *
-    ||r||^2 of the best, and their neighbours, are rescored by the direct
-    form ||r - q0 (q0 . r) - q1 (q1 . r)||^2, which keeps its relative
-    precision at a node on a noiseless tone, where the error is many orders
-    below ||r||^2.  Returns every node's error, inf at the nodes not
-    rescored: those lose to the best by more than rounding.
+    The round runs on r / 2^e with max |r / 2^e| in [0.5, 1), an exact,
+    contiguous copy, so that no square overflows or underflows and the
+    round depends neither on the scale of r nor on its memory layout.
+    Against each node's pair basis (q0, q1) the fit leaves ||r||^2 minus the
+    captured energy (q0 . r)^2 + (q1 . r)^2, so two GEMVs score every node.
+    The nodes within _GAIN_ROUNDING * ||r||^2 of the best energy, and their
+    neighbours, are rescored by the direct form ||r - q0 (q0 . r) -
+    q1 (q1 . r)||^2, which keeps its relative precision where the error is
+    many orders below ||r||^2 (a node on a noiseless tone); every other node
+    loses by more than rounding.  Returns the copy, e, the bracket
+    (omega_lo, omega_j, omega_hi) around the rescored node j of least error
+    (lowest index on ties), clipped to the band (lo = j at j = 0, hi = j at
+    j = N), and those three nodes' errors at the copy's scale, inf for a
+    neighbour that was not rescored.
     """
-    q0, q1 = tables
+    r_max = float(np.max(np.abs(r)))
+    if r_max == 0.0:
+        raise ValueError("residual is identically zero; nothing to estimate")
+    e = math.frexp(r_max)[1]  # a power of two: scaling is exact
+    r = np.ldexp(r, -e)
+    omegas, (q0, q1), _ = _full_band(phi)
     b0 = q0.T @ r
     b1 = q1.T @ r
     gain = np.square(b0)
@@ -266,33 +278,14 @@ def _grid_eval(tables, r):
     rescore = near.copy()
     rescore[1:] |= near[:-1]
     rescore[:-1] |= near[1:]
-    nodes = np.flatnonzero(rescore)
+    nodes = rescore.nonzero()[0]
     res = r[:, None] - q0[:, nodes] * b0[nodes] - q1[:, nodes] * b1[nodes]
-    s = np.full(gain.size, math.inf)
-    s[nodes] = np.einsum("ij,ij->j", res, res)
-    return s
-
-
-def _grid_round(phi: SensingMatrix, r: np.ndarray):
-    """The full-band grid round on a finite residual ``r``; raises
-    ValueError when r is identically zero.
-
-    The round runs on r / 2^e with max |r / 2^e| in [0.5, 1), an exact,
-    contiguous copy, so that no square overflows or underflows and the
-    round depends neither on the scale of r nor on its memory layout.
-    Returns that copy, e, every node's error from ``_grid_eval`` (at the
-    copy's scale) and the node indices (lo, j, hi) of the best node j
-    (lowest index on ties) and of its neighbours, clipped to the band:
-    the bracket [omega_lo, omega_hi] that holds j's cell.
-    """
-    r_max = float(np.max(np.abs(r)))
-    if r_max == 0.0:
-        raise ValueError("residual is identically zero; nothing to estimate")
-    e = math.frexp(r_max)[1]  # a power of two: scaling is exact
-    r = np.ldexp(r, -e)
-    s = _grid_eval(_full_band(phi)[1], r)
-    j = int(np.argmin(s))
-    return r, e, s, (max(j - 1, 0), j, min(j + 1, s.size - 1))
+    s = np.einsum("ij,ij->j", res, res)
+    j = nodes.item(s.argmin())
+    scored = dict(zip(nodes.tolist(), s.tolist()))
+    bracket = (max(j - 1, 0), j, min(j + 1, omegas.size - 1))
+    errors = tuple(scored.get(i, math.inf) for i in bracket)
+    return r, e, tuple(omegas.item(i) for i in bracket), errors
 
 
 def _s_derivatives(stacked: np.ndarray, r: np.ndarray, omega: float):
@@ -339,27 +332,28 @@ def estimate_sinusoid(
 ) -> EstimateOutcome:
     """Estimate the sinusoid that best explains the residual measurement ``r``.
 
-    ``r`` is finite, nonzero and of length M.  One grid round takes the best
-    full-band node j (lowest index on ties); Newton steps on s' then polish
-    it inside [omega_(j-1), omega_(j+1)] until the bracket is narrower than
-    _FREQ_TOL, starting mid-bracket when j is a band end, whose pair is
-    degenerate.  A positive integer ``newton_steps`` stops the polish
-    after that many evaluations of s' instead; the final bracket is then
-    wider than _FREQ_TOL and need not contract by the grid's factor, so
-    both of those guarantees (criterion 3) hold only for the default,
-    ``None``.  Each evaluated point replaces the bracket end whose s'
-    sign it shares.  s is even about each band end, so a Newton point past
-    0 or pi is mirrored back into the band; a step that then leaves the
-    bracket or meets s'' <= 0 bisects, and one shorter than _FREQ_TOL / 2
-    is lengthened to it, so that the bracket closes from both sides.  The
-    polished frequency is the latest Newton point in the bracket (else its
-    end of lower s), kept only if its error is no larger than node j's.  A
-    point whose pair is degenerate (within rounding of 0 or pi) ends the
-    search at once, on the bracket end of lower s.  The returned
-    residual_sq is exactly ``amplitude_ls`` re-evaluated at the returned
-    frequency.  The search runs on the grid round's copy r / 2^e, so the
-    result depends neither on the scale of r nor on its memory layout;
-    amplitudes and squared errors are scaled back by 2^e and 2^2e.
+    ``r`` is finite, nonzero and of length M.  One grid round
+    (``_grid_round``) returns the best full-band node omega_j and its
+    bracket [omega_lo, omega_hi]; Newton steps on s' then polish omega_j
+    inside that bracket until it is narrower than _FREQ_TOL, starting
+    mid-bracket when omega_j is a band end, whose pair is degenerate.  A
+    positive integer ``newton_steps`` stops the polish after that many
+    evaluations of s' instead; the final bracket is then wider than
+    _FREQ_TOL and need not contract by the grid's factor, so both of those
+    guarantees (criterion 3) hold only for the default, ``None``.  Each
+    evaluated point replaces the bracket end whose s' sign it shares.  s is
+    even about each band end, so a Newton point past 0 or pi is mirrored
+    back into the band; a step that then leaves the bracket or meets
+    s'' <= 0 bisects, and one shorter than _FREQ_TOL / 2 is lengthened to
+    it, so that the bracket closes from both sides.  The polished frequency
+    is the latest Newton point in the bracket (else its end of lower s),
+    kept only if its error is no larger than omega_j's.  A point whose pair
+    is degenerate (within rounding of 0 or pi) ends the search at once, on
+    the bracket end of lower s.  The returned residual_sq is exactly
+    ``amplitude_ls`` re-evaluated at the returned frequency.  The search
+    runs on the grid round's copy r / 2^e, so the result depends neither on
+    the scale of r nor on its memory layout; amplitudes and squared errors
+    are scaled back by 2^e and 2^2e.
     """
     r = np.asarray(r, dtype=float)
     if r.ndim != 1 or r.size != phi.m_rows:
@@ -374,12 +368,11 @@ def estimate_sinusoid(
     elif not (type(newton_steps) is int and newton_steps >= 1):  # refuses bool, an int subclass
         raise ValueError(f"newton_steps must be a positive integer or None, got {newton_steps!r}")
 
-    r, e, s, (lo, j, hi) = _grid_round(phi, r)
-    omegas, _, stacked = _full_band(phi)
-    a, b, s_a, s_b = float(omegas[lo]), float(omegas[hi]), float(s[lo]), float(s[hi])
+    r, e, (a, w_j, b), (s_a, s_j, s_b) = _grid_round(phi, r)
+    stacked = _full_band(phi)[2]
     brackets = [(0.0, math.pi), (a, b)]
-    s_history = [float(s[j])]
-    x = omega = float(omegas[j]) if 0 < j < n else 0.5 * (a + b)
+    s_history = [s_j]
+    x = omega = w_j if a < w_j < b else 0.5 * (a + b)
     while b - a >= _FREQ_TOL and len(s_history) <= newton_steps:
         s_x, d1, d2 = _s_derivatives(stacked, r, x)
         s_history.append(min(s_history[-1], s_x))
@@ -409,7 +402,7 @@ def estimate_sinusoid(
     omega_hat = _inside_band(omega)
     a1, a2, s_final = amplitude_ls(build_atoms(phi, omega_hat), r)
     if s_final > s_history[0]:
-        omega_hat = _inside_band(float(omegas[j]))
+        omega_hat = _inside_band(w_j)
         a1, a2, s_final = amplitude_ls(build_atoms(phi, omega_hat), r)
     elif len(s_history) > 1:
         brackets.append((a, b))

@@ -279,7 +279,6 @@ def recover(
     e = math.frexp(m_max)[1]
     mv = np.ldexp(m.values, -e)
     certified = _CERTIFIED_FIT * float(np.linalg.norm(mv))
-    band = _full_band(phi)[0]
     params: list[SinusoidParams | None] = [None] * k
     measured = [np.zeros(phi.m_rows) for _ in range(k)]
     sweep_norms: list[float] = []
@@ -296,8 +295,8 @@ def recover(
             if stop_reason == "polished" and params[i] is not None:
                 # a polished slot inside the cell of the grid round's best
                 # node stays: Newton steps from that node only re-find it
-                lo, _, hi = _grid_round(phi, r)[3]
-                if band[lo] <= params[i].omega <= band[hi]:
+                lo, _, hi = _grid_round(phi, r)[2]
+                if lo <= params[i].omega <= hi:
                     continue
             outcome = estimate_sinusoid(phi, r, newton_steps=_WARMUP_NEWTON_STEPS)
             cand_measured = phi.entries @ component_samples(outcome.params, n)

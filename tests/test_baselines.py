@@ -12,6 +12,7 @@ from cstones.model import SignalModel, SinusoidParams, draw_model, sinusoid_samp
 from cstones.recovery import RecoveryConfig, recover
 from cstones.sensing import (
     SUBSAMPLING,
+    Measurement,
     SensingMatrix,
     gaussian_matrix,
     measure,
@@ -99,6 +100,15 @@ class TestGridOracle:
     def test_zero_residual_rejected(self):
         with pytest.raises(ValueError):
             grid_oracle_batch(gaussian_matrix(4, 8, seed=0), np.zeros((4, 1)), 100)
+
+    @pytest.mark.parametrize(
+        "shape, grid_size, match",
+        [((4, 1), 1, "grid_size"), ((4,), 100, "M x B"), ((3, 2), 100, "M x B")],
+        ids=["grid_size_1", "residuals_1d", "wrong_m"],
+    )
+    def test_malformed_call_rejected(self, shape, grid_size, match):
+        with pytest.raises(ValueError, match=match):
+            grid_oracle_batch(gaussian_matrix(4, 8, seed=0), np.ones(shape), grid_size)
 
     @pytest.mark.filterwarnings("error")  # rejected before any arithmetic warns
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -337,6 +347,25 @@ class TestOracleLs:
         m = measure(phi, np.ones(32))
         with pytest.raises(ValueError):
             oracle_ls(phi, m, [0.5, 1.0, 1.5])
+
+    def test_measurement_length_mismatch_rejected(self):
+        phi = gaussian_matrix(16, 32, seed=10)
+        with pytest.raises(ValueError, match="measurement length"):
+            oracle_ls(phi, Measurement(values=np.ones(15)), [0.5])
+
+    def test_no_frequencies_fit_the_empty_model(self):
+        phi = gaussian_matrix(16, 32, seed=10)
+        fitted = oracle_ls(phi, measure(phi, np.ones(32)), [])
+        assert (fitted.components, fitted.n_samples) == ((), 32)
+
+    def test_rank_deficient_stack_rejected(self):
+        # at even t, cos((pi - w) t) = cos(w t) and sin((pi - w) t) =
+        # -sin(w t): rows at t = 2, 4, 6, 8 cannot tell w from pi - w
+        entries = np.zeros((4, 8))
+        entries[np.arange(4), [1, 3, 5, 7]] = 1.0
+        phi = SensingMatrix(entries=entries, kind=SUBSAMPLING, seed=0)
+        with pytest.raises(ValueError, match="rank 2 < 4"):
+            oracle_ls(phi, Measurement(values=np.ones(4)), [0.7, math.pi - 0.7])
 
     def test_dominates_greedy_recovery_under_noise(self):
         # genie-aided fit must beat the frequency-estimating recoverer on

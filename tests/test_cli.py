@@ -190,6 +190,28 @@ class TestRecover:
         )
         assert code == EXIT_VALIDATION
 
+    def test_measurement_without_value_header_exits_2(self, tmp_path, capsys):
+        _, _, meas = self.make_fixture(tmp_path)
+        meas.write_text("\n".join(meas.read_text().splitlines()[1:]) + "\n")
+        code = run_cli(
+            "recover", "--measurement", str(meas), "--k", "3", "--n", "128",
+            "--m", "64", "--matrix-seed", "3", "--out", str(tmp_path / "rec.json"),
+        )
+        assert code == EXIT_VALIDATION
+        assert "value' CSV header" in capsys.readouterr().err
+
+    def test_blank_measurement_lines_skipped(self, tmp_path):
+        _, _, meas = self.make_fixture(tmp_path)
+        args = ("--k", "3", "--n", "128", "--m", "64", "--matrix-seed", "3")
+        assert run_cli("recover", "--measurement", str(meas), *args,
+                       "--out", str(tmp_path / "plain.json")) == EXIT_OK
+        lines = meas.read_text().splitlines()
+        spaced = tmp_path / "spaced.csv"
+        spaced.write_text("\n".join(lines[:3] + ["", "  "] + lines[3:] + [""]) + "\n")
+        assert run_cli("recover", "--measurement", str(spaced), *args,
+                       "--out", str(tmp_path / "spaced.json")) == EXIT_OK
+        assert (tmp_path / "spaced.json").read_text() == (tmp_path / "plain.json").read_text()
+
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_measurement_exits_2(self, tmp_path, capsys, bad):
         _, _, meas = self.make_fixture(tmp_path)
@@ -303,6 +325,13 @@ class TestSweep:
         assert code == EXIT_OK
         lines = (tmp_path / "cfg_sweep.csv").read_text().splitlines()
         assert len(lines) == 1 + 2 * 3  # values x trials, one method
+
+    def test_config_file_not_an_object_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(["--values", "16"]))
+        code = run_cli("sweep", "--config", str(cfg), "--out-prefix", str(tmp_path / "x"))
+        assert code == EXIT_VALIDATION
+        assert "flat JSON object" in capsys.readouterr().err
 
     def test_config_file_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "sweep.json"

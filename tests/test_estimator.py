@@ -121,24 +121,18 @@ class TestOrthonormalPairs:
     @pytest.mark.parametrize(
         "phi", [gaussian_matrix(32, 64, seed=43), identity_phi(64)], ids=["gaussian", "identity"]
     )
-    @pytest.mark.parametrize("bracket", [(0.0, math.pi), (1.3, 1.3 + 1e-6)], ids=["full", "narrow"])
-    def test_grid_eval_matches_per_node_reference(self, phi, bracket):
-        r = np.random.default_rng(44).normal(size=phi.m_rows)
-        if bracket == (0.0, math.pi):
-            omegas, tables, _ = estimator._full_band(phi)
-        else:
-            omegas = np.linspace(*bracket, phi.n_cols + 1)
-            w = estimator._measured_atoms(phi.entries, omegas)
-            tables = estimator._orthonormal_pairs(w)[:2]
-        s = estimator._grid_eval(tables, r)
+    def test_grid_round_matches_per_node_reference(self, phi):
+        r, _, bracket, errors = estimator._grid_round(
+            phi, np.random.default_rng(44).normal(size=phi.m_rows)
+        )
+        omegas = estimator._full_band(phi)[0]
         ref = np.array([amplitude_ls(build_atoms(phi, float(w)), r)[2] for w in omegas])
-        scored = np.isfinite(s)
-        np.testing.assert_allclose(s[scored], ref[scored], rtol=1e-9, atol=1e-12 * float(r @ r))
-        # the best node and both neighbours are rescored; every other node loses
-        j = int(np.argmin(s))
-        assert j == int(np.argmin(ref))
-        assert scored[max(j - 1, 0)] and scored[min(j + 1, s.size - 1)]
-        assert np.all(ref[~scored] > ref[j])
+        # the best node and both neighbours, each scored as the reference does
+        j = int(np.argmin(ref))
+        assert bracket == (omegas[max(j - 1, 0)], omegas[j], omegas[min(j + 1, phi.n_cols)])
+        np.testing.assert_allclose(
+            errors, ref[np.searchsorted(omegas, bracket)], rtol=1e-9, atol=1e-12 * float(r @ r)
+        )
 
     @pytest.mark.parametrize(
         "phi",
@@ -149,20 +143,19 @@ class TestOrthonormalPairs:
         # the captured-energy round must pick the node a direct-form scan of
         # every node picks, on random residuals and on noiseless tones both
         # off the grid and on it, where s is near zero at the node
-        omegas, tables, _ = estimator._full_band(phi)
-        q0, q1 = tables
+        omegas, (q0, q1), _ = estimator._full_band(phi)
         rng = np.random.default_rng(50)
         residuals = list(rng.normal(size=(40, phi.m_rows)))
         tones = np.concatenate((rng.uniform(0.0, math.pi, 40), omegas[1:-1:5]))
         residuals += [build_atoms(phi, float(w)) @ rng.normal(size=2) for w in tones]
         for r in residuals:
+            r, _, bracket, errors = estimator._grid_round(phi, r)
             full = r[:, None] - q0 * (q0.T @ r) - q1 * (q1.T @ r)
             direct = np.einsum("ij,ij->j", full, full)
-            s = estimator._grid_eval(tables, r)
-            j = int(np.argmin(s))
-            assert j == int(np.argmin(direct))
-            for node in (max(j - 1, 0), j, min(j + 1, s.size - 1)):
-                assert s[node] == pytest.approx(direct[node], rel=1e-12, abs=0.0)
+            j = int(np.argmin(direct))
+            assert bracket == (omegas[max(j - 1, 0)], omegas[j], omegas[min(j + 1, phi.n_cols)])
+            for node, s in zip(np.searchsorted(omegas, bracket), errors):
+                assert s == pytest.approx(direct[node], rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize(
         "phi", [gaussian_matrix(32, 64, seed=45), identity_phi(64)], ids=["gaussian", "identity"]
@@ -335,6 +328,14 @@ class TestAmplitudeLs:
         assert a1 == 0.0
         assert a2 == pytest.approx(1.5, rel=1e-12)
         assert s < 1e-20
+        # rows at t = 1, 3, 5, 7 and omega = pi / 2: now the cosine column
+        # is rounding noise, and the solution must live on the sine
+        entries = np.zeros((4, 8))
+        entries[np.arange(4), [0, 2, 4, 6]] = 1.0
+        atoms = build_atoms(SensingMatrix(entries, SUBSAMPLING, 0), math.pi / 2)
+        a1, a2, s = amplitude_ls(atoms, np.array([1.0, -2.0, 0.5, 3.0]))
+        assert (a1, a2) == (0.125, 0.0)
+        assert s == pytest.approx(14.1875, rel=1e-12)
 
     def test_residual_never_exceeds_input_energy(self):
         rng = np.random.default_rng(6)
@@ -449,6 +450,15 @@ class TestEstimateSinusoid:
         a, b = out.bracket_history[-1]
         assert a <= out.params.omega <= b
 
+    def test_newton_point_left_behind_resets_to_a_bracket_end(self):
+        # the last Newton point in the bracket falls outside it once later
+        # steps shrink the bracket past it (just below pi here), so the
+        # polished frequency moves to the bracket end of lower s
+        phi = gaussian_matrix(8, 64, seed=206)
+        out = estimate_sinusoid(phi, np.random.default_rng(206).normal(size=8))
+        a, b = out.bracket_history[-1]
+        assert a <= out.params.omega <= b
+
     @pytest.mark.parametrize("jitter_seed", [1, 2, 3, 4, 5])
     def test_newton_point_past_band_end_is_mirrored(self, jitter_seed):
         # s is even about omega = 0, so on the residual above the Newton
@@ -497,6 +507,12 @@ class TestEstimateSinusoid:
         phi = gaussian_matrix(8, 16, seed=21)
         with pytest.raises(ValueError):
             estimate_sinusoid(phi, np.zeros(8))
+
+    @pytest.mark.parametrize("shape", [(7,), (8, 1)])
+    def test_residual_not_of_length_m_rejected(self, shape):
+        phi = gaussian_matrix(8, 16, seed=21)
+        with pytest.raises(ValueError, match="residual length"):
+            estimate_sinusoid(phi, np.ones(shape))
 
     @pytest.mark.filterwarnings("error")  # rejected before any arithmetic warns
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

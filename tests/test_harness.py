@@ -135,11 +135,15 @@ class TestExperimentSpec:
             dict(min_sep=-1.0),
             dict(min_sep=2.0),
             dict(preset="chirp"),
+            dict(sweep_values=()),
+            dict(trials=0),
+            dict(matrix_kind="fourier"),
         ],
         ids=[
             "2k_over_n", "m_zero", "m_over_n", "snr_fixed_m_zero", "snr_fixed_m_over_n",
             "repeated_values", "m_not_integral", "snr_nan", "fixed_snr_nan",
             "min_sep_nan", "min_sep_negative", "min_sep_infeasible", "unknown_preset",
+            "no_values", "trials_zero", "unknown_matrix_kind",
         ],
     )
     def test_spec_no_trial_can_run_rejected(self, overrides):
@@ -313,3 +317,27 @@ class TestSerialization:
         root = ET.fromstring(path.read_text())
         polylines = [e for e in root.iter() if e.tag.endswith("polyline")]
         assert len(polylines) == len(self.spec.methods)
+
+    def test_svg_of_a_flat_series_gets_a_unit_y_range(self, tmp_path):
+        # every mean error 1.0 puts every point at log10 = 0
+        summary = {
+            key: {meth: {**cell, "mean_error": 1.0} for meth, cell in cells.items()}
+            for key, cells in self.result.summary.items()
+        }
+        path = tmp_path / "flat.svg"
+        write_svg(dataclasses.replace(self.result, summary=summary), str(path))
+        root = ET.fromstring(path.read_text())
+        ys = {
+            float(point.split(",")[1])
+            for e in root.iter() if e.tag.endswith("polyline")
+            for point in e.get("points").split()
+        }
+        assert len(ys) == 1 and math.isfinite(ys.pop())
+
+    def test_failed_rename_removes_its_temp_file(self, tmp_path):
+        target = tmp_path / "out.csv"
+        target.mkdir()  # the rename onto a directory fails
+        with pytest.raises(OSError):
+            write_csv(self.result, str(target))
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+        assert target.is_dir()

@@ -238,3 +238,18 @@ class TestDrawModel:
             omegas = draw_model(3, 128, min_sep, preset=FREQ_PRESET, seed=seed).frequencies
             assert np.min(np.diff(omegas)) >= min_sep
             assert min_sep <= omegas[0] and omegas[-1] < math.pi - min_sep
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: SinusoidParams(1.0, 1.0, math.nan), "phase must be finite"),
+        (lambda: SignalModel((), 0), "n_samples must be positive"),
+        (lambda: sinusoid_samples(math.inf, 4), "omega must be finite"),
+        (lambda: draw_model(0, 16, 0.1, preset=FREQ_PRESET, seed=0), "k must be >= 1"),
+    ],
+    ids=["phase_nan", "n_samples_zero", "omega_inf", "k_zero"],
+)
+def test_malformed_input_rejected(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()

@@ -68,32 +68,35 @@ def test_trig_fft_and_grids_have_one_source_each():
     assert uses == allowed, {"outside their source": uses - allowed, "unused": allowed - uses}
 
 
-def _name_uses(path, name):
-    """module.function for every reference to ``name`` in the file: bare,
-    as an attribute or imported."""
-    places = set()
+def _full_band_calls(path):
+    """(module.function, index) for every ``_full_band(...)`` call in the
+    file, index the constant it is subscripted by, else None."""
+    calls = []
 
-    def visit(node, scope):
+    def visit(node, scope, parent):
         if isinstance(node, ast.FunctionDef):
             scope = node.name
-        if name in (getattr(node, "id", None), getattr(node, "attr", None)) or (
-            isinstance(node, ast.alias) and node.name == name
+        if isinstance(node, ast.Call) and "_full_band" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)
         ):
-            places.add(f"{path.stem}.{scope}")
+            indexed = isinstance(parent, ast.Subscript) and parent.value is node
+            indexed = indexed and isinstance(parent.slice, ast.Constant)
+            calls.append((f"{path.stem}.{scope}", parent.slice.value if indexed else None))
         for child in ast.iter_child_nodes(node):
-            visit(child, scope)
+            visit(child, scope, node)
 
-    visit(ast.parse(path.read_text()), "<module>")
-    return places
+    visit(ast.parse(path.read_text()), "<module>", None)
+    return calls
 
 
 def test_grid_round_has_one_source():
-    # the estimator and recovery's confirming visits both score the full
-    # band through estimator._grid_round, scaling included
-    places = set()
+    # the grid round hands the estimator and recovery's confirming visits
+    # its bracket, so it alone reads the full band's nodes and pair tables;
+    # every other caller takes only the derivative operator
+    calls = []
     for path in (ROOT / "src" / "cstones").glob("*.py"):
-        places |= _name_uses(path, "_grid_eval")
-    assert places == {"estimator._grid_round"}, places
+        calls += _full_band_calls(path)
+    assert {place for place, index in calls if index != 2} == {"estimator._grid_round"}, calls
 
 
 # Reduced precision stays inside the grid oracle's float32 scoring: criteria 5

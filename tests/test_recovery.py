@@ -58,9 +58,8 @@ def traced_visits(monkeypatch):
 
     def traced_grid_round(phi, r):
         out = grid_round(phi, r)
-        lo, _, hi = out[3]
-        band = estimator._full_band(phi)[0]
-        log.append(("grid", float(band[lo]), float(band[hi])))
+        lo, _, hi = out[2]
+        log.append(("grid", lo, hi))
         return out
 
     def traced_estimate(*args, **kwargs):
@@ -186,6 +185,20 @@ class TestRecover:
         np.testing.assert_array_equal(result.signal, np.zeros(32))
         assert result.final_residual_norm == 0.0
         assert (result.stop_reason, result.sweeps_used) == ("zero_input", 0)
+
+    def test_zero_residual_visit_leaves_the_slot_empty(self):
+        # one sample and two slots: the first slot fits it exactly (a
+        # constant, omega moved one ulp into the band), so the second
+        # slot's residual is zero on every visit and the slot stays empty
+        phi = subsampling_matrix(1, 4, seed=0)
+        m = measure(phi, synthesize(draw_model(1, 4, 0.0, preset="sinu", seed=0)))
+        with pytest.warns(UserWarning, match="underdetermined"):
+            result = recover(phi, m, RecoveryConfig(k=2))
+        assert (result.stop_reason, result.sweeps_used) == ("converged", 2)
+        assert result.sweep_residual_norms == (0.0, 0.0)
+        first, second = result.model.components
+        assert first.omega == math.nextafter(0.0, 1.0)
+        assert second.amplitude == 0.0
 
     def test_underdetermined_warns_but_runs(self):
         phi = gaussian_matrix(8, 32, seed=11)

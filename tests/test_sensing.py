@@ -214,3 +214,18 @@ class TestNonFiniteRejected:
         entries[1, 4] = bad
         with pytest.raises(ValueError, match="finite"):
             SensingMatrix(entries=entries, kind=GAUSSIAN, seed=0)
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: SensingMatrix(entries=np.ones(4), kind=GAUSSIAN, seed=0), "2-D"),
+        (lambda: SensingMatrix(entries=np.ones((3, 2)), kind=GAUSSIAN, seed=0), "m <= n"),
+        (lambda: SensingMatrix(entries=np.ones((2, 3)), kind="fourier", seed=0), "unknown"),
+        (lambda: Measurement(values=np.ones((2, 2))), "1-D"),
+    ],
+    ids=["entries_1d", "tall", "unknown_kind", "values_2d"],
+)
+def test_malformed_construction_rejected(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
