@@ -33,21 +33,23 @@ __all__ = [
     "bomp_recover",
 ]
 
-# Grid nodes per grid_oracle_batch chunk: sets the size of every float32 GEMM
-# operand; the float64 stage rescores _SCAN_CHUNK to 2 * _SCAN_CHUNK - 1
-# queued nodes at a time, the last batch fewer.
+# Grid nodes per grid_oracle_batch chunk, scored in float32 from power series
+# about _SCAN_CHUNK / G centres (_scan_series): sets the width of the gain
+# GEMMs; the float64 stage rescores _SCAN_CHUNK to 2 * _SCAN_CHUNK - 1 queued
+# nodes at a time, the last batch fewer.
 _SCAN_CHUNK = 512
 
 # grid_oracle_batch rescores a node in float64 while some residual r's float32
 # captured energy there is within this times ||r||^2 of r's running best.
 # The float32 energy's measured error at pairs above _F32_GRAM_RATIO is at
-# most 1.3e-6 * ||r||^2 (Gaussian and subsampling Phi from 8 x 64 to
-# 64 x 256, random and single-tone residuals): the slack is 230 times that,
-# and 115 times the most by which a float32 leader can beat the true winner.
+# most 1.8e-6 * ||r||^2 (Gaussian and subsampling Phi from 8 x 64 to
+# 64 x 256, random and single-tone residuals, grids of 1325 to 100 000
+# nodes): the slack is 170 times that, and 85 times the most by which a
+# float32 leader can beat the true winner.
 _F32_GAIN_SLACK = 3e-4
 # Pairs whose Gram ratio det / trace^2 is at most this lie near 0 and pi,
 # where the sine column nearly vanishes.  Float32 is least accurate there
-# (measured error up to 2e-6 * ||r||^2 at ratios 1e-8 to 1e-4), and near
+# (measured error up to 1.3e-5 * ||r||^2 at ratios 1e-8 to 1e-4), and near
 # the rank-1 threshold _GRAM_DET_TOL float32 cannot tell a regular pair from
 # a degenerate one, so those nodes always go to the float64 stage.
 _F32_GRAM_RATIO = 1e-4
@@ -80,8 +82,6 @@ def oracle_ls(phi: SensingMatrix, m: Measurement, true_frequencies) -> SignalMod
         )
     if len(m.values) != phi.m_rows:
         raise ValueError(f"measurement length {len(m.values)} != matrix m={phi.m_rows}")
-    if not freqs:
-        return SignalModel(components=(), n_samples=phi.n_cols)
     # M x 2K, columns interleaved (cos_1, sin_1, cos_2, sin_2, ...)
     a = _measured_atoms(phi.entries, freqs).reshape(phi.m_rows, -1)
     coef, _, rank, _ = np.linalg.lstsq(a, m.values, rcond=None)
@@ -90,6 +90,45 @@ def oracle_ls(phi: SensingMatrix, m: Measurement, true_frequencies) -> SignalMod
             f"stacked atom matrix is rank-deficient (rank {rank} < {a.shape[1]})"
         )
     return SignalModel(components=_params_from_coef(freqs, coef), n_samples=phi.n_cols)
+
+
+def _scan_series(n: int, step: float, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``size`` nodes j * step of ``grid_oracle_batch``'s scan as
+    power series about centres: an N x (k P) table and P x G powers.
+
+    The nodes split into k groups of G, each about its centre w_c.  For a
+    node w_c + s with |s| <= h (Anderson & Dahleh 1996),
+
+        exp(i (w_c + s) t) = exp(i w_c t) sum_{p<P} (i t / N)^p / p! (s N)^p + R,
+        |R| <= (h N)^P / P! e^(h N),
+
+    so column (c, p) of the table is exp(i w_c t) (i t / N)^p / p!, row p of
+    the powers is (s_g N)^p, and Phi @ table_c @ powers is group c's atoms.
+    G is a power of two at most ``_SCAN_CHUNK`` and floor(2 / (N step)) + 1,
+    so h N <= 1, and P is the least order whose bound is below float32
+    rounding, 2^-26: P = 12 at h N = 1, and P = 1 at G = 1, where the table
+    is direct evaluation.  Of those G, the one with the fewest multiply-adds
+    per node, P (N / G + 1) for the two GEMMs, is taken.
+    """
+    limit = min(_SCAN_CHUNK, math.floor(2.0 / (n * step)) + 1)
+    plans, width = [], 1
+    while width <= limit:
+        h_n = (width - 1) * step * n / 2
+        order, bound = 1, h_n * math.exp(h_n)
+        while bound >= 2.0**-26:
+            order += 1
+            bound *= h_n / order
+        plans.append((order * (n / width + 1), width, order))
+        width *= 2
+    _, width, order = min(plans)
+    centres = (np.arange(0, size, width) + (width - 1) / 2) * step
+    table = _cis(centres, n)
+    if order > 1:
+        rise = 1j / n * np.arange(1.0, n + 1.0)  # i t / N
+        terms = np.cumprod([np.ones(n), *(rise / p for p in range(1, order))], axis=0)
+        table = table[:, :, None] * terms.T[:, None, :]
+    offsets = (np.arange(width) - (width - 1) / 2) * (step * n)
+    return table.reshape(n, -1), offsets ** np.arange(order)[:, None]
 
 
 def grid_oracle_batch(
@@ -102,9 +141,13 @@ def grid_oracle_batch(
     uniformly spaced frequencies and keeps the exact grid argmin of each
     column, lowest index on ties.  Each column r is scaled by a power of
     two to max |r| in [0.5, 1), which is exact.  Each ``_SCAN_CHUNK`` slice
-    of the grid is scored in float32: the first chunk's ``_cis`` table
-    rotated by the chunk's ``_cis`` factor, the Phi GEMM,
-    ``_orthonormal_pairs`` and two gain GEMMs.  Every column keeps a running
+    of the grid is scored in float32 from power series of its atoms about
+    centres, G nodes to a centre and P terms, both from N and the grid step
+    (``_scan_series``): the first chunk's N x kP series table, rotated by
+    the chunk's ``_cis`` factor, takes one thin Phi GEMM (M x N x 2kP), and
+    a second one against the P x G powers (2Mk x P x G) gives the cos and
+    sin planes; then ``_orthonormal_pairs`` and two gain GEMMs.  The
+    series' remainder is below float32 rounding.  Every column keeps a running
     float32 best over nodes with Gram ratio above ``_F32_GRAM_RATIO``,
     seeded from ``_SCAN_CHUNK`` nodes spread over the grid.  A node is queued
     when its energy is within ``_F32_GAIN_SLACK`` * ||r||^2 of some
@@ -136,7 +179,7 @@ def grid_oracle_batch(
 
     exps = np.frexp(col_max)[1]
     scaled = np.ldexp(residuals, -exps)
-    n_batch = residuals.shape[1]
+    n_batch, m_rows = residuals.shape[1], phi.m_rows
     omegas = np.linspace(0.0, math.pi, grid_size)
     residuals_t = np.ascontiguousarray(scaled.T)
     # q0, q1 do not change with the scale of Phi: a power of two keeps the
@@ -145,14 +188,14 @@ def grid_oracle_batch(
     residuals32 = residuals_t.astype(np.float32)
     slack = (_F32_GAIN_SLACK * np.einsum("ij,ij->j", scaled, scaled)).astype(np.float32)
 
-    def energies(phasors):
-        """B x C float32 gains at the phasor columns, -inf where ill-conditioned."""
-        w = entries @ phasors.view(np.float32)
-        # a pair whose sine part cancels to zero in float32 while its ratio
-        # rounds above _GRAM_DET_TOL normalizes 0 / 0: it is ill-conditioned,
-        # and its energy is masked below
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q0, q1, ratio = _orthonormal_pairs(w.reshape(phi.m_rows, -1, 2))
+    def atoms32(table):
+        """M x C x 2 float32 atoms of the N x C complex table's columns."""
+        phasors = table.astype(np.complex64, copy=False).view(np.float32)
+        return (entries @ phasors).reshape(m_rows, -1, 2)
+
+    def energies(w):
+        """B x C float32 gains of the M x C x 2 atoms w, -inf where ill-conditioned."""
+        q0, q1, ratio = _orthonormal_pairs(w)
         gain = np.square(residuals32 @ q0)
         gain += np.square(residuals32 @ q1)
         ill = ratio <= _F32_GRAM_RATIO
@@ -162,10 +205,12 @@ def grid_oracle_batch(
     # Seeded near each column's peak, the running best queues few of the
     # first chunks' nodes: unseeded, a 1e6-node scan kept 1e5 of them.
     spread = omegas[:: -(-omegas.size // _SCAN_CHUNK)]
-    best32 = energies(_cis(spread, phi.n_cols).astype(np.complex64))[0].max(axis=1)
-    # node start + j is omega_start + omega_j: rotate the first chunk's phasors
-    table = _cis(omegas[:_SCAN_CHUNK], phi.n_cols).astype(np.complex64)
+    best32 = energies(atoms32(_cis(spread, phi.n_cols)))[0].max(axis=1)
+    # node start + j is node j of the first chunk, rotated by omega_start
+    table, powers = _scan_series(phi.n_cols, omegas[1], min(_SCAN_CHUNK, grid_size))
+    table, powers = table.astype(np.complex64), powers.astype(np.float32)
     phasors = np.empty_like(table)
+    order, width = powers.shape
     # best float64 captured energy per column; larger gain means smaller error
     best_gain = np.full(n_batch, -np.inf)
     best_omega = np.zeros(n_batch)
@@ -173,9 +218,15 @@ def grid_oracle_batch(
     pending, n_pending = [], 0  # queued node indices, ascending
     for start in range(0, omegas.size, _SCAN_CHUNK):
         size = min(_SCAN_CHUNK, omegas.size - start)
+        used = -(-size // width) * order  # the table columns of this chunk's centres
         rotation = _cis(omegas[start:start + 1], phi.n_cols).astype(np.complex64)
-        np.multiply(table, rotation, out=phasors)
-        gain, ill = energies(phasors[:, :size])
+        np.multiply(table[:, :used], rotation, out=phasors[:, :used])
+        atoms = atoms32(phasors[:, :used])  # M x (centre, term) x (cos, sin)
+        if order > 1:  # each centre's terms against the powers; P = 1 is direct
+            z = np.moveaxis(atoms.reshape(m_rows, -1, order, 2), -1, 0)
+            atoms = np.ascontiguousarray(z).reshape(-1, order) @ powers
+            atoms = atoms.reshape(2, m_rows, -1).transpose(1, 2, 0)
+        gain, ill = energies(atoms[:, :size])
         np.maximum(best32, gain.max(axis=1), out=best32)
         near = np.any(gain >= (best32 - slack)[:, None], axis=0)
         pending.append(start + np.flatnonzero(near | ill))

@@ -20,8 +20,9 @@ L = 2N, and BOMP's oversampled grid) is one real FFT of each zero-padded
 row of Phi (``_dft_atoms``, which returns the bins too); arbitrary
 frequencies (the polish fits, ``oracle_ls``) take one GEMM on directly
 evaluated cos/sin samples (``_measured_atoms``).  The grid oracle scores
-every node of its uniform scan in float32, rotating one such table
-(``_cis``) per chunk, and rescores the nodes near each residual's running
+every node of its uniform scan in float32, each chunk's atoms from a short
+power series about centres whose directly evaluated table (``_cis``) it
+rotates per chunk, and rescores the nodes near each residual's running
 best in float64 through ``_measured_atoms``, in batches, as the scan goes;
 nothing else leaves float64.  All feed the pair bases of
 ``_orthonormal_pairs``, against which a residual is scored by its captured
@@ -213,7 +214,10 @@ def _orthonormal_pairs(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     q0 = v * inv_v
     q1 = q0 * -(guv * inv_v)
     q1 += u
-    q1 *= 1.0 / np.sqrt(np.where(regular, np.einsum("ij,ij->j", q1, q1), 1.0))
+    # float32 can round a pair's ratio above _GRAM_DET_TOL while its sine part
+    # cancels to exactly zero: that q1 stays zero (float64 cannot reach this)
+    norm_sq = np.where(regular, np.einsum("ij,ij->j", q1, q1), 1.0)
+    q1 *= np.divide(1.0, np.sqrt(norm_sq), out=np.zeros_like(norm_sq), where=norm_sq > 0)
     degenerate = np.flatnonzero(~regular)
     if degenerate.size:
         use_u = guu[degenerate] >= gvv[degenerate]

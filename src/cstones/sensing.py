@@ -86,9 +86,6 @@ class Measurement:
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
-    def __len__(self) -> int:
-        return self.values.size
-
 
 def _check_subsampling_rows(entries: np.ndarray) -> None:
     """Each row must be a standard basis vector, all rows distinct."""

@@ -29,6 +29,28 @@ def bomp_nodes(c, n):
     return estimator._dft_atoms(np.zeros((1, n)), c * n)[0]
 
 
+def record_calls(monkeypatch, name):
+    """Wrap ``baselines.<name>`` so that every call's (args, result) is kept."""
+    calls, fn = [], getattr(baselines, name)
+
+    def wrapper(*args):
+        out = fn(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(baselines, name, wrapper)
+    return calls
+
+
+def assert_series_within_remainder(n, step, table, powers):
+    # in float64, each centre's series table_c @ powers is exp(i w t) at its
+    # group of nodes j * step within 2^-26, the bound its order is chosen by
+    order, width = powers.shape
+    groups = table.reshape(n, -1, order) @ powers
+    direct = estimator._cis(step * np.arange(groups.shape[1] * width), n)
+    assert np.max(np.abs(groups.reshape(n, -1) - direct)) <= 2.0**-26
+
+
 class TestBompCandidateGrid:
     @pytest.mark.parametrize("c, n", [(5, 128), (3, 32), (5, 7)])
     def test_count_spacing_and_endpoint(self, c, n):
@@ -193,41 +215,38 @@ class TestGridOracle:
             assert s[0] == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize(
-        "phi",
+        "phi, grid_size",
         [
-            gaussian_matrix(12, 20, seed=6),
-            gaussian_matrix(16, 32, seed=1),
-            gaussian_matrix(64, 128, seed=3),
-            gaussian_matrix(64, 256, seed=14),
-            subsampling_matrix(32, 64, seed=15),
-            subsampling_matrix(64, 256, seed=16),
+            (gaussian_matrix(12, 20, seed=6), 1325),
+            (gaussian_matrix(16, 32, seed=1), 1325),
+            (gaussian_matrix(64, 128, seed=3), 1325),
+            (gaussian_matrix(64, 256, seed=14), 1325),
+            (subsampling_matrix(32, 64, seed=15), 1325),
+            (subsampling_matrix(64, 256, seed=16), 1325),
+            # fine grids: 32 nodes per centre at h N = 0.06, and 128 at h N = 1
+            (gaussian_matrix(12, 16, seed=24), 13_001),
+            (gaussian_matrix(16, 128, seed=25), 25_536),
         ],
-        ids=["gauss12x20", "gauss16x32", "gauss64x128", "gauss64x256", "sub32x64", "sub64x256"],
+        ids=[
+            "gauss12x20", "gauss16x32", "gauss64x128", "gauss64x256", "sub32x64", "sub64x256",
+            "gauss12x16_fine", "gauss16x128_fine",
+        ],
     )
-    def test_float32_stage_error_and_kept_set(self, phi, monkeypatch):
+    def test_float32_stage_error_and_kept_set(self, phi, grid_size, monkeypatch):
         # the float32 energies the scan scores against: within a hundredth of
         # the slack of float64 wherever the pair is well conditioned, and the
         # nodes rescored in float64 always hold each column's float64 argmax
         rng = np.random.default_rng(17)
         tones = [build_atoms(phi, w) @ rng.normal(size=2) for w in rng.uniform(0.0, math.pi, 12)]
         residuals = np.column_stack([*rng.normal(size=(12, phi.m_rows)), *tones])
-        grid_size = 2 * baselines._SCAN_CHUNK + 301
-        bases32, kept = [], []
-        pairs, atoms = baselines._orthonormal_pairs, baselines._measured_atoms
-
-        def spy_pairs(w):
-            out = pairs(w)
-            if w.dtype == np.float32:
-                bases32.append(out)
-            return out
-
-        def spy_atoms(entries, nodes):
-            kept.append(nodes)
-            return atoms(entries, nodes)
-
-        monkeypatch.setattr(baselines, "_orthonormal_pairs", spy_pairs)
-        monkeypatch.setattr(baselines, "_measured_atoms", spy_atoms)
+        plans = record_calls(monkeypatch, "_scan_series")
+        pair_calls = record_calls(monkeypatch, "_orthonormal_pairs")
+        atom_calls = record_calls(monkeypatch, "_measured_atoms")
         omegas, _ = grid_oracle_batch(phi, residuals, grid_size)
+        (args, (table, powers)), = plans
+        assert_series_within_remainder(*args[:2], table, powers)
+        bases32 = [out for (w,), out in pair_calls if w.dtype == np.float32]
+        kept = [nodes for (_, nodes), _ in atom_calls]
 
         scaled = np.ldexp(residuals, -np.frexp(np.max(np.abs(residuals), axis=0))[1])
         grid = np.linspace(0.0, math.pi, grid_size)
@@ -249,6 +268,38 @@ class TestGridOracle:
         assert np.all(np.isin(grid[best], kept))
         assert np.all(np.isin(grid[~well], kept))  # ill-conditioned: always rescored
         np.testing.assert_array_equal(omegas, grid[best])
+
+    @pytest.mark.parametrize(
+        "phi, grid_size, width, order",
+        [
+            # h N = 1 - 5e-6: twelve terms
+            (gaussian_matrix(8, 128, seed=20), 25_536, 128, 12),
+            # one node per centre: the series is direct evaluation
+            (gaussian_matrix(16, 64, seed=21), 129, 1, 1),
+            # h N = 1 - 2e-5; 0 opens the first chunk and pi ends the last
+            # one, 5 nodes into its last group
+            (subsampling_matrix(16, 64, seed=22), 1509, 16, 12),
+        ],
+        ids=["fine", "coarse", "band_ends"],
+    )
+    def test_series_atoms_within_float32_rounding(self, phi, grid_size, width, order, monkeypatch):
+        # the float32 atoms every chunk scores, against float64 direct
+        # evaluation at the same nodes: within a few float32 roundings of
+        # each row's sum |Phi|, after the scan's power-of-two scaling of Phi
+        plans = record_calls(monkeypatch, "_scan_series")
+        pair_calls = record_calls(monkeypatch, "_orthonormal_pairs")
+        residuals = np.random.default_rng(23).normal(size=(phi.m_rows, 3))
+        grid_oracle_batch(phi, residuals, grid_size)
+        (args, (table, powers)), = plans
+        assert powers.shape == (order, width)
+        assert_series_within_remainder(*args[:2], table, powers)
+        scored = [w for (w,), _ in pair_calls if w.dtype == np.float32][1:]  # [0]: the seed
+        scored = np.concatenate(scored, axis=1).astype(float)
+        entries = np.ldexp(phi.entries, -np.frexp(np.max(np.abs(phi.entries)))[1])
+        direct = estimator._measured_atoms(entries, np.linspace(0.0, math.pi, grid_size))
+        assert scored.shape == direct.shape
+        err = np.max(np.abs(scored - direct), axis=(1, 2))
+        assert np.all(err <= 16 * 2.0**-24 * np.sum(np.abs(entries), axis=1))
 
     @pytest.mark.filterwarnings("error")
     def test_single_row_every_pair_rank_one(self, monkeypatch):

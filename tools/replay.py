@@ -1,21 +1,24 @@
 """Replay the benchmark's input pools through one checkout's cstones and print
-a sha256 per pool over every ``RecoveryResult`` field, ``signal`` bytes
-included.  Two checkouts whose hashes agree recover bit-identically there.
+a sha256 per pool over every output, array bytes included: each
+``RecoveryResult`` field, or each ``grid_oracle_batch`` (omega, s) pair.
+Two checkouts whose hashes agree compute bit-identically there.
 
-    python3 tools/replay.py path/to/checkout/src     # about 2 minutes
+    python3 tools/replay.py path/to/checkout/src     # about 80 s
 
 The pools, all made from the seeds and input recipes of ``bench/workloads.py``
 (imported from this file's checkout, whichever ``src/`` is replayed):
 
 - ``flagship/<seed>``: the 512 flagship inputs of seeds 1311 and 6916;
+- ``oracle_scan/<seed>``: the 16 oracle_scan inputs of seeds 1311 and 6916,
+  each one 100 000-node ``grid_oracle_batch`` over 100 residuals (about 5 s);
 - ``noisy_sweep/<seed>``: the 4096 noisy_sweep jobs of seeds 1311 and 6916,
   each a ``cstones sweep`` call whose one ``recover`` is hashed;
 - ``low_m/<M>``: the flagship recipe at M = 24 and 32 with model seeds
   10000 + i and matrix seeds 20000 + i, i < 300.
 
-It also prints the flagship and low-M success counts (the flagship nl2 gate)
-and every noisy job that fails or whose mds/oracle nl2 ratio is above the
-benchmark's 1.5 gate.
+It also prints the flagship, oracle_scan and low-M success counts (each
+workload's own gate) and every noisy job that fails or whose mds/oracle nl2
+ratio is above the benchmark's 1.5 gate.
 BLAS is pinned to one thread, as in the benchmark.
 """
 
@@ -72,8 +75,8 @@ def import_cstones(src: Path):
     return cstones, cstones.cli
 
 
-def flagship_pool(wl, rows):
-    """sha256 over ``recover`` on each input, and how many pass the gate."""
+def pool(wl, rows):
+    """sha256 over the workload's job on each input, and how many pass its gate."""
     h = hashlib.sha256()
     successes = 0
     for row in rows:
@@ -121,10 +124,11 @@ def main(argv=None) -> None:
 
     api = workloads.public_api(cs, cli)
     print(f"cstones from {Path(cs.__file__).parent}")
-    for seed in SEEDS:
-        wl = workloads.Flagship(api)
-        digest, ok = flagship_pool(wl, workloads.seed_rows(seed, wl.pool_size, wl.seed_width))
-        print(f"flagship/{seed}    {digest}  successes {ok}/{wl.pool_size}")
+    for workload in (workloads.Flagship, workloads.OracleScan):
+        for seed in SEEDS:
+            wl = workload(api)
+            digest, ok = pool(wl, workloads.seed_rows(seed, wl.pool_size, wl.seed_width))
+            print(f"{wl.name + '/' + str(seed):17s}{digest}  successes {ok}/{wl.pool_size}")
     with tempfile.TemporaryDirectory() as scratch:
         for seed in SEEDS:
             wl = workloads.NoisySweep(api, scratch)
@@ -137,7 +141,7 @@ def main(argv=None) -> None:
         wl = workloads.Flagship(api)
         wl.m = m
         rows = [(10000 + i, 20000 + i) for i in range(LOW_M_INPUTS)]
-        digest, ok = flagship_pool(wl, rows)
+        digest, ok = pool(wl, rows)
         print(f"low_m/{m}          {digest}  successes {ok}/{LOW_M_INPUTS}")
 
 
