@@ -104,12 +104,15 @@ def amplitude_ls(a: np.ndarray, r: np.ndarray) -> tuple[float, float, float]:
     ``a`` is the M x 2 pair from :func:`build_atoms`.  Returns (a1, a2,
     s_omega) where (a1, a2) minimizes ||r - A_w a||^2 via the 2x2 normal
     equations and s_omega is the attained minimum, evaluated directly as
-    the squared norm of the residual.
+    the squared norm of the residual.  Raises ValueError on non-finite
+    atoms or residual.
     """
     a = np.asarray(a, dtype=float)
     r = np.asarray(r, dtype=float)
     if r.ndim != 1 or a.shape != (r.size, 2):
         raise ValueError(f"atoms {a.shape} must be M x 2 for a residual of shape {r.shape}")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(r))):
+        raise ValueError("atoms and residual must be finite (no NaN or inf)")
     col0 = a[:, 0]
     col1 = a[:, 1]
     g00 = float(col0 @ col0)
@@ -230,23 +233,33 @@ def _orthonormal_pairs(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 @functools.lru_cache(maxsize=1)
 def _full_band(phi: SensingMatrix):
-    """The N + 1 nodes over [0, pi], their orthonormal pair tables (q0, q1)
-    and the 3M x N derivative operator [Phi; Phi T; Phi T^2], T = diag(1..N).
+    """The N + 1 nodes over [0, pi] and their orthonormal pair tables
+    (nodes, q0, q1), read only by ``_grid_round``.
 
     Nodes and atoms are the 2N-point DFT bins of ``_dft_atoms``, the top
-    node exactly pi.  One product of the operator with sin/cos samples at a
-    frequency gives the measured pair and its t- and t^2-weighted versions,
-    from which ``_s_derivatives`` and the recovery polish read their
-    derivatives.  Cached for the most recent matrix, which hashes by
-    identity and is held, so a hit is never a recycled id.
+    node exactly pi.  Cached, as ``_derivative_operator`` is, for the most
+    recent matrix, which hashes by identity and is held, so a hit is never
+    a recycled id.
     """
     omegas, w = _dft_atoms(phi.entries, 2 * phi.n_cols)
     q0, q1, _ = _orthonormal_pairs(w)
+    for x in (omegas, q0, q1):
+        x.flags.writeable = False
+    return omegas, q0, q1
+
+
+@functools.lru_cache(maxsize=1)
+def _derivative_operator(phi: SensingMatrix) -> np.ndarray:
+    """The 3M x N operator [Phi; Phi T; Phi T^2], T = diag(1..N).
+
+    One product of it with sin/cos samples at a frequency gives the
+    measured pair and its t- and t^2-weighted versions, from which
+    ``_s_derivatives`` and the recovery polish read their derivatives.
+    """
     t = np.arange(1.0, phi.n_cols + 1.0)
     stacked = np.concatenate((phi.entries, phi.entries * t, phi.entries * (t * t)))
-    for x in (omegas, q0, q1, stacked):
-        x.flags.writeable = False
-    return omegas, (q0, q1), stacked
+    stacked.flags.writeable = False
+    return stacked
 
 
 def _grid_round(phi: SensingMatrix, r: np.ndarray):
@@ -273,7 +286,7 @@ def _grid_round(phi: SensingMatrix, r: np.ndarray):
         raise ValueError("residual is identically zero; nothing to estimate")
     e = math.frexp(r_max)[1]  # a power of two: scaling is exact
     r = np.ldexp(r, -e)
-    omegas, (q0, q1), _ = _full_band(phi)
+    omegas, q0, q1 = _full_band(phi)
     b0 = q0.T @ r
     b1 = q1.T @ r
     gain = np.square(b0)
@@ -295,7 +308,7 @@ def _grid_round(phi: SensingMatrix, r: np.ndarray):
 def _s_derivatives(stacked: np.ndarray, r: np.ndarray, omega: float):
     """s(omega) = min_x ||r - A x||^2 and its exact derivatives s', s''.
 
-    ``stacked`` is the operator [Phi; Phi T; Phi T^2] from ``_full_band``.
+    ``stacked`` is the operator [Phi; Phi T; Phi T^2] of ``_derivative_operator``.
     One product of it with the N x 2 block [sin wt, cos wt] of
     ``sinusoid_samples`` gives, as row slices, the pair A = [Phi sin,
     Phi cos] and the weighted pairs from which A' = [Phi T cos, -Phi T sin]
@@ -373,7 +386,7 @@ def estimate_sinusoid(
         raise ValueError(f"newton_steps must be a positive integer or None, got {newton_steps!r}")
 
     r, e, (a, w_j, b), (s_a, s_j, s_b) = _grid_round(phi, r)
-    stacked = _full_band(phi)[2]
+    stacked = _derivative_operator(phi)
     brackets = [(0.0, math.pi), (a, b)]
     s_history = [s_j]
     x = omega = w_j if a < w_j < b else 0.5 * (a + b)

@@ -163,11 +163,14 @@ class ExperimentResult:
 
 
 def normalized_l2_error(x: np.ndarray, xhat: np.ndarray) -> float:
-    """||x - xhat||_2 / ||x||_2; rejects a zero reference vector."""
+    """||x - xhat||_2 / ||x||_2; rejects a zero reference vector and
+    non-finite samples in either vector."""
     x = np.asarray(x, dtype=float)
     xhat = np.asarray(xhat, dtype=float)
     if x.shape != xhat.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {xhat.shape}")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(xhat))):
+        raise ValueError("signals must be finite (no NaN or inf)")
     denom = float(np.linalg.norm(x))
     if denom == 0.0:
         raise ValueError("reference vector is zero; error undefined")

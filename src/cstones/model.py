@@ -215,9 +215,12 @@ def add_noise(s: np.ndarray, spec: NoiseSpec) -> np.ndarray:
 
     The noise variance is sigma^2 = (||s||^2 / N) * 10^(-snr_db / 10), i.e.
     SNR is defined against the per-sample signal power.  A noiseless spec
-    returns ``s`` unchanged.  Deterministic for a fixed (s, spec).
+    returns ``s`` unchanged.  Deterministic for a fixed (s, spec).  Raises
+    ValueError on a non-finite sample.
     """
     s = np.asarray(s, dtype=float)
+    if not np.all(np.isfinite(s)):
+        raise ValueError("signal must be finite (no NaN or inf)")
     if spec.noiseless:
         return s.copy()
     power = float(s @ s) / s.size

@@ -39,7 +39,7 @@ from typing import ClassVar
 import numpy as np
 
 from .estimator import (
-    _full_band,
+    _derivative_operator,
     _grid_round,
     _measured_atoms,
     _params_from_coef,
@@ -168,11 +168,11 @@ def _projected_fit(weighted: np.ndarray, mv: np.ndarray, omegas: np.ndarray):
 def _polish(stacked: np.ndarray, mv: np.ndarray, omegas: np.ndarray):
     """Levenberg-Marquardt on the K frequencies with the amplitudes projected out.
 
-    ``stacked`` is the derivative operator [Phi; Phi T; Phi T^2] from
-    ``_full_band``; the fits read its top 2M rows.  Tone k contributes
-    c_k cos(w_k t) + s_k sin(w_k t), so with the fitted coefficients the
-    columns D_k = Phi @ (t * (s_k cos w_k t - c_k sin w_k t)), read as
-    s_k (Phi T cos) - c_k (Phi T sin) off the fit's weighted atoms, are
+    ``stacked`` is the operator [Phi; Phi T; Phi T^2] of
+    ``_derivative_operator``; the fits read its top 2M rows.  Tone k
+    contributes c_k cos(w_k t) + s_k sin(w_k t), so with the fitted
+    coefficients the columns D_k = Phi @ (t * (s_k cos w_k t - c_k sin w_k t)),
+    read as s_k (Phi T cos) - c_k (Phi T sin) off the fit's weighted atoms, are
     dA/dw_k c, and Kaufman's variable-projection Jacobian of the error e is
     J = -P D, P the projector off the atoms' span.  Each trial step solves
     (J^T J + lam diag(J^T J)) delta = D^T e; a step is taken only if it
@@ -219,7 +219,7 @@ def _kept_polish(
     omegas = np.array([math.nan if p is None else p.omega for p in params])
     if not (resid > 0.0 and _admissible(omegas)):
         return None
-    omegas, coef = _polish(_full_band(phi)[2], mv, omegas)
+    omegas, coef = _polish(_derivative_operator(phi), mv, omegas)
     polished = list(_params_from_coef(omegas, coef))
     measured = [phi.entries @ component_samples(p, phi.n_cols) for p in polished]
     new_resid = float(np.linalg.norm(mv - sum(measured)))
@@ -295,7 +295,7 @@ def recover(
             if stop_reason == "polished" and params[i] is not None:
                 # a polished slot inside the cell of the grid round's best
                 # node stays: Newton steps from that node only re-find it
-                lo, _, hi = _grid_round(phi, r)[2]
+                _, _, (lo, _, hi), _ = _grid_round(phi, r)
                 if lo <= params[i].omega <= hi:
                     continue
             outcome = estimate_sinusoid(phi, r, newton_steps=_WARMUP_NEWTON_STEPS)

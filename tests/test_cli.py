@@ -225,6 +225,23 @@ class TestRecover:
         assert code == EXIT_VALIDATION
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_truth_exits_2(self, tmp_path, capsys, bad):
+        # a non-finite truth sample would otherwise be written as a NaN score,
+        # which strict JSON parsers refuse
+        sig, _, meas = self.make_fixture(tmp_path)
+        lines = sig.read_text().splitlines()
+        lines[5] = lines[5].split(",")[0] + "," + bad
+        sig.write_text("\n".join(lines) + "\n")
+        code = run_cli(
+            "recover", "--measurement", str(meas), "--k", "3", "--n", "128",
+            "--m", "64", "--matrix-seed", "3", "--truth", str(sig),
+            "--out", str(tmp_path / "rec.json"),
+        )
+        assert code == EXIT_VALIDATION
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "rec.json").exists()
+
     def test_underdetermined_warns_but_succeeds(self, tmp_path, capsys, recwarn):
         _, _, meas = self.make_fixture(tmp_path, m=8, k=3)
         code = run_cli(

@@ -108,7 +108,7 @@ class TestDftAtoms:
 
     def test_full_band_nodes_are_the_2n_point_bins(self):
         phi = gaussian_matrix(32, 64, seed=47)
-        omegas, (q0, q1), _ = estimator._full_band(phi)
+        omegas, q0, q1 = estimator._full_band(phi)
         np.testing.assert_allclose(omegas, np.pi * np.arange(65) / 64, rtol=0.0, atol=1e-15)
         ref0, ref1, _ = estimator._orthonormal_pairs(estimator._measured_atoms(phi.entries, omegas))
         np.testing.assert_allclose(q0, ref0, rtol=0.0, atol=1e-12)
@@ -125,7 +125,7 @@ class TestOrthonormalPairs:
         r, _, bracket, errors = estimator._grid_round(
             phi, np.random.default_rng(44).normal(size=phi.m_rows)
         )
-        omegas = estimator._full_band(phi)[0]
+        omegas, _, _ = estimator._full_band(phi)
         ref = np.array([amplitude_ls(build_atoms(phi, float(w)), r)[2] for w in omegas])
         # the best node and both neighbours, each scored as the reference does
         j = int(np.argmin(ref))
@@ -143,7 +143,7 @@ class TestOrthonormalPairs:
         # the captured-energy round must pick the node a direct-form scan of
         # every node picks, on random residuals and on noiseless tones both
         # off the grid and on it, where s is near zero at the node
-        omegas, (q0, q1), _ = estimator._full_band(phi)
+        omegas, q0, q1 = estimator._full_band(phi)
         rng = np.random.default_rng(50)
         residuals = list(rng.normal(size=(40, phi.m_rows)))
         tones = np.concatenate((rng.uniform(0.0, math.pi, 40), omegas[1:-1:5]))
@@ -200,22 +200,34 @@ class TestOrthonormalPairs:
             assert not q1[:, idx].any()
 
 
+# The two per-matrix tables: the full band, read by the grid round, and the
+# derivative operator, read by the Newton step and the polish.
+CACHES = (estimator._full_band, estimator._derivative_operator)
+
+
+def clear_caches():
+    for cache in CACHES:
+        cache.cache_clear()
+
+
 class TestRoundTableCache:
-    """The one cached round-1 table: the full band of the most recent matrix."""
+    """The cached per-matrix tables, each holding the most recent matrix."""
 
     def test_warm_call_equals_cold_call(self):
         phi = gaussian_matrix(32, 64, seed=31)
         rng = np.random.default_rng(32)
         r_warmup, r = rng.normal(size=(2, 32))
-        estimator._full_band.cache_clear()
+        clear_caches()
         cold = estimate_sinusoid(phi, r)
-        estimator._full_band.cache_clear()
+        clear_caches()
         estimate_sinusoid(phi, r_warmup)
-        hits = estimator._full_band.cache_info().hits
-        entry = estimator._full_band(phi)
-        assert estimator._full_band.cache_info().hits == hits + 1  # the entry is phi's
+        hits = [cache.cache_info().hits for cache in CACHES]
+        entries = [cache(phi) for cache in CACHES]
+        # the entries are phi's
+        assert [cache.cache_info().hits for cache in CACHES] == [h + 1 for h in hits]
         warm = estimate_sinusoid(phi, r)
-        assert estimator._full_band(phi) is entry
+        for cache, entry in zip(CACHES, entries):
+            assert cache(phi) is entry
         for f in dataclasses.fields(EstimateOutcome):
             assert getattr(warm, f.name) == getattr(cold, f.name), f.name
 
@@ -223,34 +235,36 @@ class TestRoundTableCache:
         phi = gaussian_matrix(16, 32, seed=33)
         twin = gaussian_matrix(16, 32, seed=33)  # equal entries, other object
         r, r_other = np.random.default_rng(34).normal(size=(2, 16))
-        estimator._full_band.cache_clear()
+        clear_caches()
         estimate_sinusoid(phi, r)
-        first = estimator._full_band(phi)
+        first = [cache(phi) for cache in CACHES]
         estimate_sinusoid(phi, r_other)
-        assert estimator._full_band(phi) is first
-        assert estimator._full_band.cache_info().misses == 1
-        omegas, _, stacked = first
+        for cache, entry in zip(CACHES, first):
+            assert cache(phi) is entry
+            assert cache.cache_info().misses == 1
+        (omegas, _, _), stacked = first
         assert omegas.size == 33 and omegas[0] == 0.0 and omegas[-1] == math.pi
         t = np.arange(1.0, 33.0)
         np.testing.assert_array_equal(
             stacked, np.concatenate((phi.entries, phi.entries * t, phi.entries * (t * t)))
         )
         estimate_sinusoid(twin, r)
-        assert estimator._full_band.cache_info().misses == 2
-        assert estimator._full_band(twin) is not first
-        assert estimator._full_band.cache_info().currsize == 1
+        for cache, entry in zip(CACHES, first):
+            assert cache.cache_info().misses == 2
+            assert cache(twin) is not entry
+            assert cache.cache_info().currsize == 1
 
     def test_flagship_recover_cold_equals_warm(self, monkeypatch):
         truth = draw_model(3, 128, math.pi / 128, preset="freq", seed=35)
         phi = gaussian_matrix(64, 128, seed=36)
         m = measure(phi, synthesize(truth))
-        estimator._full_band.cache_clear()
+        clear_caches()
         warm = recover(phi, m, RecoveryConfig(k=3))
 
         budgets = []
 
         def cold_estimate(*args, **kwargs):
-            estimator._full_band.cache_clear()
+            clear_caches()
             budgets.append(kwargs.get("newton_steps"))
             return estimate_sinusoid(*args, **kwargs)
 
@@ -268,21 +282,23 @@ class TestRoundTableCache:
         phi = gaussian_matrix(64, 128, seed=40)
         m = measure(phi, synthesize(truth))
         estimate_sinusoid(phi, m.values)
-        full_band = estimator._full_band(phi)
-        misses = estimator._full_band.cache_info().misses
-        # every estimate and the polish of the recover reuse the entry,
-        # never rebuilding it
+        entries = [cache(phi) for cache in CACHES]
+        misses = [cache.cache_info().misses for cache in CACHES]
+        # every estimate, confirming grid round and polish of the recover
+        # reuses both entries, never rebuilding one
         result = recover(phi, m, RecoveryConfig(k=3))
         assert result.stop_reason == "polished"
-        assert estimator._full_band.cache_info().misses == misses
-        assert estimator._full_band(phi) is full_band
+        assert [cache.cache_info().misses for cache in CACHES] == misses
+        for cache, entry in zip(CACHES, entries):
+            assert cache(phi) is entry
 
     def test_cached_arrays_read_only(self):
         phi = gaussian_matrix(16, 32, seed=41)
         estimate_sinusoid(phi, np.random.default_rng(42).normal(size=16))
-        omegas, tables, stacked = estimator._full_band(phi)
+        omegas, q0, q1 = estimator._full_band(phi)
+        stacked = estimator._derivative_operator(phi)
         assert stacked.shape == (3 * 16, 32)
-        for a in (omegas, *tables, stacked):
+        for a in (omegas, q0, q1, stacked):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 0.0
@@ -345,6 +361,19 @@ class TestAmplitudeLs:
             r = rng.normal(size=12)
             _, _, s = amplitude_ls(atoms, r)
             assert s <= float(r @ r) * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_input_rejected(self, bad):
+        # a non-finite residual or atom would otherwise fit to (nan, nan, nan)
+        atoms = build_atoms(gaussian_matrix(8, 16, seed=8), 0.9)
+        r = np.random.default_rng(9).normal(size=8)
+        bad_r = r.copy()
+        bad_r[2] = bad
+        bad_atoms = atoms.copy()
+        bad_atoms[4, 1] = bad
+        for a, res in ((atoms, bad_r), (bad_atoms, r)):
+            with pytest.raises(ValueError, match="finite"):
+                amplitude_ls(a, res)
 
 
 class TestEstimateSinusoid:
@@ -444,7 +473,7 @@ class TestEstimateSinusoid:
         r = np.random.default_rng(303).normal(size=(200, 64))[160]
         out = estimate_sinusoid(phi, r)
         assert out.refinements_used <= 9
-        stacked = estimator._full_band(phi)[2]
+        stacked = estimator._derivative_operator(phi)
         assert math.isfinite(estimator._s_derivatives(stacked, r, out.params.omega)[0])
         assert out.residual_sq <= out.best_s_history[0]
         a, b = out.bracket_history[-1]
@@ -584,7 +613,7 @@ class TestSDerivatives:
 
         scale = float(r @ r)
         h = 1e-5
-        stacked = estimator._full_band(phi)[2]
+        stacked = estimator._derivative_operator(phi)
         for w in (0.3, truth - 0.02, truth + 0.003, 2.9):
             s, d1, d2 = estimator._s_derivatives(stacked, r, w)
             lo, mid, hi = s_ref(w - h), s_ref(w), s_ref(w + h)
@@ -624,7 +653,7 @@ def test_stacked_s_derivatives_match_six_column_reference(phi):
     # are sums of terms that cancel, so each is compared relative to the
     # size of its terms: a near-zero s' differs by rounding in any order
     rng = np.random.default_rng(50)
-    stacked = estimator._full_band(phi)[2]
+    stacked = estimator._derivative_operator(phi)
     for _ in range(200):
         r = rng.normal(size=phi.m_rows)
         w = float(rng.uniform(0.01, math.pi - 0.01))

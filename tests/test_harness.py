@@ -9,6 +9,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from cstones import harness
 from cstones.harness import (
     CSV_HEADER,
     METHOD_BOMP,
@@ -44,6 +45,14 @@ class TestNormalizedL2Error:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             normalized_l2_error(np.ones(3), np.ones(4))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, bad):
+        # a non-finite sample on either side would otherwise score nan
+        for x, xhat in ((np.array([1.0, bad, 3.0]), np.ones(3)),
+                        (np.ones(3), np.array([1.0, bad, 3.0]))):
+            with pytest.raises(ValueError, match="finite"):
+                normalized_l2_error(x, xhat)
 
 
 class TestMatchFrequencies:
@@ -252,6 +261,19 @@ class TestRunExperiment:
         assert all(r.error == "" for r in healthy)
         assert result.summary["2"][METHOD_ORACLE]["failures"] == spec.trials
         assert result.summary["24"][METHOD_ORACLE]["failures"] == 0
+
+    def test_non_finite_estimate_is_a_failed_trial(self, monkeypatch):
+        # a method that returns a nan sample is recorded as failed, never
+        # as a nan row
+        def nan_method(method, spec, phi, meas, model):
+            xhat = np.zeros(spec.n)
+            xhat[3] = math.nan
+            return xhat, model.frequencies
+
+        monkeypatch.setattr(harness, "_apply_method", nan_method)
+        spec = small_spec(sweep_values=(24.0,), methods=(METHOD_MDS,), trials=2)
+        rows = run_experiment(spec).rows
+        assert [(r.nl2_error, r.error) for r in rows] == [(1.0, "ValueError")] * 2
 
     def test_snr_axis(self):
         spec = small_spec(

@@ -107,6 +107,14 @@ class TestAddNoise:
         with pytest.raises(ValueError):
             add_noise(np.zeros(16), NoiseSpec(snr_db=10.0))
 
+    @pytest.mark.parametrize("snr_db", [None, 20.0])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_signal_rejected(self, bad, snr_db):
+        s = self.s.copy()
+        s[5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            add_noise(s, NoiseSpec(snr_db=snr_db, seed=1))
+
 
 class TestSinusoidParams:
     def test_phase_canonicalized_on_construction(self):

@@ -1,5 +1,6 @@
 """Package-level checks: the public surface resolves, each kind of frequency
-sample has one source, and the demos run."""
+sample has one source, each per-matrix table its own readers, and the demos
+run."""
 
 import ast
 import csv
@@ -36,16 +37,23 @@ def test_all_names_resolve(name):
 
 # The one place each kind of frequency node or sample is made: trig samples,
 # DFT tables and uniform grids.  Every other layer reads them from these.
-NUMPY_SOURCES = {
+# Each per-matrix cache has its own readers: the grid round hands the
+# estimator and recovery's confirming visits its bracket, so it alone reads
+# the full band's nodes and pair tables; the Newton step and the polish read
+# the derivative operator.
+SOURCES = {
     "np.sin": {"estimator._cis", "model.sinusoid_samples", "model.component_samples"},
     "np.cos": {"estimator._cis", "model.sinusoid_samples"},
     "np.fft": {"estimator._dft_atoms"},
     "np.linspace": {"estimator._dft_atoms", "baselines.grid_oracle_batch"},
+    "_full_band": {"estimator._grid_round"},
+    "_derivative_operator": {"estimator.estimate_sinusoid", "recovery._kept_polish"},
 }
 
 
-def _numpy_uses(path):
-    """(np.<attr>, module.function) for every ``np.<attr>`` in the file."""
+def _uses(path):
+    """(name, module.function) for every ``np.<attr>`` and every call by
+    name, ``f(...)`` or ``x.f(...)``, in the file."""
     uses = set()
 
     def visit(node, scope):
@@ -53,6 +61,9 @@ def _numpy_uses(path):
             scope = node.name
         if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "np":
             uses.add((f"np.{node.attr}", f"{path.stem}.{scope}"))
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            uses.add((name, f"{path.stem}.{scope}"))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
@@ -63,40 +74,9 @@ def _numpy_uses(path):
 def test_trig_fft_and_grids_have_one_source_each():
     uses = set()
     for path in (ROOT / "src" / "cstones").glob("*.py"):
-        uses |= {(name, where) for name, where in _numpy_uses(path) if name in NUMPY_SOURCES}
-    allowed = {(name, where) for name, places in NUMPY_SOURCES.items() for where in places}
+        uses |= {(name, where) for name, where in _uses(path) if name in SOURCES}
+    allowed = {(name, where) for name, places in SOURCES.items() for where in places}
     assert uses == allowed, {"outside their source": uses - allowed, "unused": allowed - uses}
-
-
-def _full_band_calls(path):
-    """(module.function, index) for every ``_full_band(...)`` call in the
-    file, index the constant it is subscripted by, else None."""
-    calls = []
-
-    def visit(node, scope, parent):
-        if isinstance(node, ast.FunctionDef):
-            scope = node.name
-        if isinstance(node, ast.Call) and "_full_band" in (
-            getattr(node.func, "id", None), getattr(node.func, "attr", None)
-        ):
-            indexed = isinstance(parent, ast.Subscript) and parent.value is node
-            indexed = indexed and isinstance(parent.slice, ast.Constant)
-            calls.append((f"{path.stem}.{scope}", parent.slice.value if indexed else None))
-        for child in ast.iter_child_nodes(node):
-            visit(child, scope, node)
-
-    visit(ast.parse(path.read_text()), "<module>", None)
-    return calls
-
-
-def test_grid_round_has_one_source():
-    # the grid round hands the estimator and recovery's confirming visits
-    # its bracket, so it alone reads the full band's nodes and pair tables;
-    # every other caller takes only the derivative operator
-    calls = []
-    for path in (ROOT / "src" / "cstones").glob("*.py"):
-        calls += _full_band_calls(path)
-    assert {place for place, index in calls if index != 2} == {"estimator._grid_round"}, calls
 
 
 # Reduced precision stays inside the grid oracle's float32 scoring: criteria 5

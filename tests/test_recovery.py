@@ -423,7 +423,7 @@ class TestPolish:
         # D_k = dA/dw_k c from the operator's t-weighted rows equals Phi
         # times the t-weighted derivative samples, at random w and c
         phi = gaussian_matrix(64, 128, seed=51)
-        weighted = estimator._full_band(phi)[2][: 2 * phi.m_rows]
+        weighted = estimator._derivative_operator(phi)[: 2 * phi.m_rows]
         t = np.arange(1.0, 129.0)
         rng = np.random.default_rng(52)
         for _ in range(20):
@@ -449,7 +449,7 @@ class TestPolish:
         monkeypatch.setattr(
             recovery, "_projected_fit", lambda p, m, w: fitted.append(w.copy()) or fit(p, m, w)
         )
-        omegas, _ = _polish(estimator._full_band(phi)[2], mv, np.array([0.0775]))
+        omegas, _ = _polish(estimator._derivative_operator(phi), mv, np.array([0.0775]))
         assert any(w[0] <= 0.0 for w in proposed)
         assert all(0.0 < w[0] < math.pi for w in fitted)
         assert abs(omegas[0] - 0.002) < 1e-9

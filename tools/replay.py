@@ -18,7 +18,12 @@ The pools, all made from the seeds and input recipes of ``bench/workloads.py``
 
 It also prints the flagship, oracle_scan and low-M success counts (each
 workload's own gate) and every noisy job that fails or whose mds/oracle nl2
-ratio is above the benchmark's 1.5 gate.
+ratio is above the benchmark's 1.5 gate.  Under each pool of recovers it
+prints their outcomes: the ``stop_reason`` counts and how many results
+certify, that is fit the measurement m to ``final_residual_norm <=
+recovery._CERTIFIED_FIT * ||m||``; for flagship and low-M pools the
+successes among certified and uncertified results, and for noisy pools the
+``stop_reason`` counts split by ``sweeps_used``.
 BLAS is pinned to one thread, as in the benchmark.
 """
 
@@ -28,6 +33,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
+import collections
 import contextlib
 import dataclasses
 import hashlib
@@ -75,27 +81,63 @@ def import_cstones(src: Path):
     return cstones, cstones.cli
 
 
-def pool(wl, rows):
-    """sha256 over the workload's job on each input, and how many pass its gate."""
+class Outcomes:
+    """(stop_reason, sweeps_used, certified, success) of each ``recover``
+    result of a pool; success is None where the workload scores a whole job
+    rather than its recover."""
+
+    def __init__(self, recovery):
+        self.fit = recovery._CERTIFIED_FIT
+        self.rows = []
+
+    def add(self, result, m, success=None) -> None:
+        certified = result.final_residual_norm <= self.fit * float(np.linalg.norm(m))
+        self.rows.append((result.stop_reason, result.sweeps_used, certified, success))
+
+    def print(self) -> None:
+        def counts(key):
+            return sorted(collections.Counter(key(row) for row in self.rows).items())
+
+        print("    stop_reason: " + ", ".join(f"{s} {c}" for s, c in counts(lambda row: row[0])))
+        certified = [row[3] for row in self.rows if row[2]]
+        uncertified = [row[3] for row in self.rows if not row[2]]
+        print(f"    certified {len(certified)} of {len(self.rows)}")
+        if self.rows[0][3] is None:
+            split = counts(lambda row: row[:2])
+            print("    stop_reason x sweeps_used: "
+                  + ", ".join(f"{s} after {n} {c}" for (s, n), c in split))
+        else:
+            print(f"    successes: {sum(certified)} of {len(certified)} certified, "
+                  f"{sum(uncertified)} of {len(uncertified)} uncertified")
+
+
+def pool(wl, rows, outcomes=None):
+    """sha256 over the workload's job on each input, and how many pass its
+    gate; each ``recover`` result is counted into ``outcomes`` if given."""
     h = hashlib.sha256()
     successes = 0
     for row in rows:
         inp = wl.make(row)
         result = wl.run(inp)
         feed(h, result)
-        successes += wl.check(inp, result).success
+        success = wl.check(inp, result).success
+        successes += success
+        if outcomes is not None:
+            outcomes.add(result, inp[2].values, success)
     return h.hexdigest(), successes
 
 
-def noisy_pool(wl, harness, rows):
+def noisy_pool(wl, harness, rows, outcomes):
     """sha256 over the ``recover`` inside each sweep job, and the jobs
-    (index, seed, why) that fail or are above the mds/oracle gate."""
+    (index, seed, why) that fail or are above the mds/oracle gate; each
+    ``recover`` result is counted into ``outcomes``."""
     h = hashlib.sha256()
     recover = harness.recover
 
-    def hashed(*args, **kwargs):
-        result = recover(*args, **kwargs)
+    def hashed(phi, m, *args, **kwargs):
+        result = recover(phi, m, *args, **kwargs)
         feed(h, result)
+        outcomes.add(result, m.values)
         return result
 
     flagged = []
@@ -123,26 +165,34 @@ def main(argv=None) -> None:
     import workloads
 
     api = workloads.public_api(cs, cli)
+    recovery = sys.modules["cstones.recovery"]
     print(f"cstones from {Path(cs.__file__).parent}")
     for workload in (workloads.Flagship, workloads.OracleScan):
         for seed in SEEDS:
             wl = workload(api)
-            digest, ok = pool(wl, workloads.seed_rows(seed, wl.pool_size, wl.seed_width))
+            outcomes = Outcomes(recovery) if workload is workloads.Flagship else None
+            digest, ok = pool(wl, workloads.seed_rows(seed, wl.pool_size, wl.seed_width), outcomes)
             print(f"{wl.name + '/' + str(seed):17s}{digest}  successes {ok}/{wl.pool_size}")
+            if outcomes is not None:
+                outcomes.print()
     with tempfile.TemporaryDirectory() as scratch:
         for seed in SEEDS:
             wl = workloads.NoisySweep(api, scratch)
             rows = workloads.seed_rows(seed, wl.pool_size, wl.seed_width)
-            digest, flagged = noisy_pool(wl, sys.modules["cstones.harness"], rows)
+            outcomes = Outcomes(recovery)
+            digest, flagged = noisy_pool(wl, sys.modules["cstones.harness"], rows, outcomes)
             print(f"noisy_sweep/{seed} {digest}  not passing the gate: {len(flagged)}")
             for index, job_seed, why in flagged:
                 print(f"    job {index} (seed {job_seed}): {why}")
+            outcomes.print()
     for m in LOW_M:
         wl = workloads.Flagship(api)
         wl.m = m
         rows = [(10000 + i, 20000 + i) for i in range(LOW_M_INPUTS)]
-        digest, ok = pool(wl, rows)
+        outcomes = Outcomes(recovery)
+        digest, ok = pool(wl, rows, outcomes)
         print(f"low_m/{m}          {digest}  successes {ok}/{LOW_M_INPUTS}")
+        outcomes.print()
 
 
 if __name__ == "__main__":
