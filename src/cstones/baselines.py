@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 # Grid nodes per grid_oracle_batch chunk, scored in float32 from power series
-# about _SCAN_CHUNK / G centres (_scan_series): sets the width of the gain
+# about _SCAN_CHUNK / G centres (_scan_series): sets the size of each chunk's
 # GEMMs; the float64 stage rescores _SCAN_CHUNK to 2 * _SCAN_CHUNK - 1 queued
 # nodes at a time, the last batch fewer.
 _SCAN_CHUNK = 512
@@ -42,14 +42,15 @@ _SCAN_CHUNK = 512
 # grid_oracle_batch rescores a node in float64 while some residual r's float32
 # captured energy there is within this times ||r||^2 of r's running best.
 # The float32 energy's measured error at pairs above _F32_GRAM_RATIO is at
-# most 1.8e-6 * ||r||^2 (Gaussian and subsampling Phi from 8 x 64 to
+# most 3.6e-6 * ||r||^2 (Gaussian and subsampling Phi from 8 x 64 to
 # 64 x 256, random and single-tone residuals, grids of 1325 to 100 000
-# nodes): the slack is 170 times that, and 85 times the most by which a
-# float32 leader can beat the true winner.
+# nodes; the largest at 16 x 128 on 25 536 nodes): the slack is 83 times
+# that, and 41 times the most by which a float32 leader can beat the true
+# winner.
 _F32_GAIN_SLACK = 3e-4
 # Pairs whose Gram ratio det / trace^2 is at most this lie near 0 and pi,
 # where the sine column nearly vanishes.  Float32 is least accurate there
-# (measured error up to 1.3e-5 * ||r||^2 at ratios 1e-8 to 1e-4), and near
+# (measured error up to 2.2e-5 * ||r||^2 at ratios 1e-8 to 1e-4), and near
 # the rank-1 threshold _GRAM_DET_TOL float32 cannot tell a regular pair from
 # a degenerate one, so those nodes always go to the float64 stage.
 _F32_GRAM_RATIO = 1e-4
@@ -108,7 +109,8 @@ def _scan_series(n: int, step: float, size: int) -> tuple[np.ndarray, np.ndarray
     so h N <= 1, and P is the least order whose bound is below float32
     rounding, 2^-26: P = 12 at h N = 1, and P = 1 at G = 1, where the table
     is direct evaluation.  Of those G, the one with the fewest multiply-adds
-    per node, P (N / G + 1) for the two GEMMs, is taken.
+    per node, P (N / G + 1), is taken: P N / G in the Phi GEMM, and a share
+    linear in P in ``_series_gains``' GEMM against the node's powers.
     """
     limit = min(_SCAN_CHUNK, math.floor(2.0 / (n * step)) + 1)
     plans, width = [], 1
@@ -128,7 +130,76 @@ def _scan_series(n: int, step: float, size: int) -> tuple[np.ndarray, np.ndarray
         terms = np.cumprod([np.ones(n), *(rise / p for p in range(1, order))], axis=0)
         table = table[:, :, None] * terms.T[:, None, :]
     offsets = (np.arange(width) - (width - 1) / 2) * (step * n)
-    return table.reshape(n, -1), offsets ** np.arange(order)[:, None]
+    return np.ascontiguousarray(table.reshape(n, -1)), offsets ** np.arange(order)[:, None]
+
+
+def _series_grams(block: np.ndarray, powers: np.ndarray):
+    """Each node's pair Gram (gvv, guv, guu), k x G float64 arrays, from the
+    M x k x 2 x P float64 series block and the P x G ``powers`` of
+    ``_scan_series``.
+
+    Node g of centre c has the pair (block[:, c, 0] @ powers[:, g],
+    block[:, c, 1] @ powers[:, g]), so its Gram entries are quadratic forms
+    in powers[:, g] of the centre's 2P x 2P Gram, taken once per centre.
+    """
+    m_rows, k, _, order = block.shape
+    if order == 1:  # one node per centre: the pair's own Gram
+        pairs = block[..., 0]
+        squares = np.einsum("mcs,mcs->cs", pairs, pairs)
+        cross = np.einsum("mc,mc->c", pairs[:, :, 0], pairs[:, :, 1])
+        return squares[:, :1], cross[:, None], squares[:, 1:]
+    cols = block.reshape(m_rows, k, 2 * order).transpose(1, 0, 2)  # k x M x 2P
+    gram = cols.transpose(0, 2, 1) @ cols
+    half = (gram.reshape(-1, order) @ powers).reshape(k, 2, order, 2, -1)
+    forms = np.einsum("cspth,ph->csth", half, powers)  # k x 2 x 2 x G
+    return forms[:, 0, 0], forms[:, 1, 0], forms[:, 1, 1]
+
+
+def _series_gains(y: np.ndarray, residuals: np.ndarray, powers: np.ndarray):
+    """Captured energies (k x B x G, in the block's precision) of the B x M
+    ``residuals`` at the k G nodes of a series block, and the k x G mask of
+    ill pairs.
+
+    ``y`` is Phi times an N x kP complex series table (M x 2kP, column
+    (c, p, cos/sin)) and ``powers`` its P x G powers, so node g of centre
+    c has the atoms sum_p y[:, c, p] powers[p, g].  From the pair Gram of
+    ``_series_grams``, Gram-Schmidt from the cosine atom gives the node's
+    basis on its centre's 2P table columns:
+
+        q0 = v / sqrt(gvv),  q1 = (u - guv / gvv v) sqrt(gvv / det).
+
+    The residuals are projected on the table columns once, in float64, and
+    one GEMM per centre in the block's precision, (B x 2P)(2P x 2G), gives
+    every node's q0 . r and q1 . r, whose squares sum to the energy; at one
+    node per centre (P = 1) the coefficients apply elementwise instead.  A
+    pair is ill where det <= ``_F32_GRAM_RATIO`` trace^2; its basis, and
+    so its energy, is 0.
+    """
+    m_rows, (order, width) = y.shape[0], powers.shape
+    block = np.ascontiguousarray(np.swapaxes(y.reshape(m_rows, -1, order, 2), 2, 3), dtype=float)
+    k = block.shape[1]
+    gvv, guv, guu = _series_grams(block, powers)
+    trace = gvv + guu
+    det = gvv * guu - guv * guv
+    ill = ~((det > _F32_GRAM_RATIO * trace * trace) & (trace > 0))
+    # q0 = a v and q1 = b v + c u, with b = -c guv / gvv; 0 at ill pairs
+    gvv_ok = np.where(ill, np.inf, gvv)
+    c = np.sqrt(gvv / np.where(ill, np.inf, det))
+    a, b, c = (x.astype(y.dtype) for x in (1.0 / np.sqrt(gvv_ok), -guv / gvv_ok * c, c))
+    proj = (residuals @ block.reshape(m_rows, -1)).astype(y.dtype)  # B x (c, cos/sin, p)
+    if order == 1:  # one node per centre: its coefficients apply elementwise
+        z = proj.reshape(-1, k, 2)
+        q1 = z[..., 0] * b[:, 0]
+        q1 += z[..., 1] * c[:, 0]
+        energy = np.square(q1, out=q1)
+        energy += np.square(z[..., 0] * a[:, 0])
+        return energy.T[:, :, None], ill
+    coef = np.zeros((k, 2, 2, width), dtype=y.dtype)  # k x (cos/sin) x (q0/q1) x G
+    coef[:, 0, 0], coef[:, 0, 1], coef[:, 1, 1] = a, b, c
+    basis = coef[:, :, None] * powers.astype(y.dtype)[:, None]  # k x (cos/sin, p) x (q0/q1, g)
+    energy = proj.reshape(-1, k, 2 * order).transpose(1, 0, 2) @ basis.reshape(k, 2 * order, -1)
+    np.square(energy, out=energy)
+    return energy[..., :width] + energy[..., width:], ill
 
 
 def grid_oracle_batch(
@@ -145,11 +216,14 @@ def grid_oracle_batch(
     centres, G nodes to a centre and P terms, both from N and the grid step
     (``_scan_series``): the first chunk's N x kP series table, rotated by
     the chunk's ``_cis`` factor, takes one thin Phi GEMM (M x N x 2kP), and
-    a second one against the P x G powers (2Mk x P x G) gives the cos and
-    sin planes; then ``_orthonormal_pairs`` and two gain GEMMs.  The
-    series' remainder is below float32 rounding.  Every column keeps a running
-    float32 best over nodes with Gram ratio above ``_F32_GRAM_RATIO``,
-    seeded from ``_SCAN_CHUNK`` nodes spread over the grid.  A node is queued
+    ``_series_gains`` scores the block without forming any node's atoms:
+    it projects the residuals on the block in float64, reads each node's
+    pair Gram, and so its Gram-Schmidt basis, from its centre's 2P x 2P
+    Gram, and takes one float32 GEMM per centre (B x 2P x 2G).  The
+    series' remainder is below float32 rounding.  Every column keeps a
+    running float32 best over nodes with Gram ratio above
+    ``_F32_GRAM_RATIO``, seeded from ``_SCAN_CHUNK`` nodes spread over the
+    grid and scored the same way at one node per centre.  A node is queued
     when its energy is within ``_F32_GAIN_SLACK`` * ||r||^2 of some
     column's running best, and so is every node at or below the ratio.  The
     running best never exceeds the final one, so the queue holds every node
@@ -179,36 +253,27 @@ def grid_oracle_batch(
 
     exps = np.frexp(col_max)[1]
     scaled = np.ldexp(residuals, -exps)
-    n_batch, m_rows = residuals.shape[1], phi.m_rows
+    n_batch = residuals.shape[1]
     omegas = np.linspace(0.0, math.pi, grid_size)
     residuals_t = np.ascontiguousarray(scaled.T)
-    # q0, q1 do not change with the scale of Phi: a power of two keeps the
+    # the gains do not change with the scale of Phi: a power of two keeps the
     # float32 copy in range whatever Phi's own scale
     entries = np.ldexp(phi.entries, -np.frexp(np.max(np.abs(phi.entries)))[1]).astype(np.float32)
-    residuals32 = residuals_t.astype(np.float32)
     slack = (_F32_GAIN_SLACK * np.einsum("ij,ij->j", scaled, scaled)).astype(np.float32)
 
-    def atoms32(table):
-        """M x C x 2 float32 atoms of the N x C complex table's columns."""
-        phasors = table.astype(np.complex64, copy=False).view(np.float32)
-        return (entries @ phasors).reshape(m_rows, -1, 2)
-
-    def energies(w):
-        """B x C float32 gains of the M x C x 2 atoms w, -inf where ill-conditioned."""
-        q0, q1, ratio = _orthonormal_pairs(w)
-        gain = np.square(residuals32 @ q0)
-        gain += np.square(residuals32 @ q1)
-        ill = ratio <= _F32_GRAM_RATIO
-        gain[:, ill] = -np.inf  # an ill-conditioned float32 energy may be too high
-        return gain, ill
+    def series_block(table):
+        """Phi times the N x C complex table, M x 2C float32 (cos, sin) columns."""
+        return entries @ table.astype(np.complex64, copy=False).view(np.float32)
 
     # Seeded near each column's peak, the running best queues few of the
     # first chunks' nodes: unseeded, a 1e6-node scan kept 1e5 of them.
     spread = omegas[:: -(-omegas.size // _SCAN_CHUNK)]
-    best32 = energies(atoms32(_cis(spread, phi.n_cols)))[0].max(axis=1)
+    best32 = _series_gains(
+        series_block(_cis(spread, phi.n_cols)), residuals_t, np.ones((1, 1))
+    )[0].max(axis=(0, 2))
     # node start + j is node j of the first chunk, rotated by omega_start
     table, powers = _scan_series(phi.n_cols, omegas[1], min(_SCAN_CHUNK, grid_size))
-    table, powers = table.astype(np.complex64), powers.astype(np.float32)
+    table = table.astype(np.complex64)
     phasors = np.empty_like(table)
     order, width = powers.shape
     # best float64 captured energy per column; larger gain means smaller error
@@ -221,21 +286,17 @@ def grid_oracle_batch(
         used = -(-size // width) * order  # the table columns of this chunk's centres
         rotation = _cis(omegas[start:start + 1], phi.n_cols).astype(np.complex64)
         np.multiply(table[:, :used], rotation, out=phasors[:, :used])
-        atoms = atoms32(phasors[:, :used])  # M x (centre, term) x (cos, sin)
-        if order > 1:  # each centre's terms against the powers; P = 1 is direct
-            z = np.moveaxis(atoms.reshape(m_rows, -1, order, 2), -1, 0)
-            atoms = np.ascontiguousarray(z).reshape(-1, order) @ powers
-            atoms = atoms.reshape(2, m_rows, -1).transpose(1, 2, 0)
-        gain, ill = energies(atoms[:, :size])
-        np.maximum(best32, gain.max(axis=1), out=best32)
-        near = np.any(gain >= (best32 - slack)[:, None], axis=0)
-        pending.append(start + np.flatnonzero(near | ill))
+        gain, ill = _series_gains(series_block(phasors[:, :used]), residuals_t, powers)
+        gain[-1, :, (size - 1) % width + 1:] = 0.0  # the last centre's nodes past the grid's end
+        np.maximum(best32, gain.max(axis=(0, 2)), out=best32)
+        near = np.any(gain >= (best32 - slack)[:, None], axis=1)
+        pending.append(start + np.flatnonzero((near | ill).ravel()[:size]))
         n_pending += pending[-1].size
         if n_pending < _SCAN_CHUNK and start + size < omegas.size:
             continue
         nodes = omegas[np.concatenate(pending)]
         pending, n_pending = [], 0
-        q0, q1, _ = _orthonormal_pairs(_measured_atoms(phi.entries, nodes))
+        q0, q1 = _orthonormal_pairs(_measured_atoms(phi.entries, nodes))
         gain = np.square(residuals_t @ q0)
         gain += np.square(residuals_t @ q1)
         j = np.argmax(gain, axis=1)
@@ -279,7 +340,7 @@ def bomp_recover(phi: SensingMatrix, m: Measurement, k: int) -> SignalModel:
         return SignalModel(components=(), n_samples=n)
 
     cand, w = _dft_atoms(phi.entries, _BOMP_OVERSAMPLING * n)  # w[:, i] is the pair at cand[i]
-    q0, q1, _ = _orthonormal_pairs(w)
+    q0, q1 = _orthonormal_pairs(w)
 
     allowed = np.ones(cand.size, dtype=bool)
     selected: list[int] = []

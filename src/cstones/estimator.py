@@ -19,15 +19,15 @@ one of two kernels.  A uniform DFT grid w_k = 2 pi k / L (the full band,
 L = 2N, and BOMP's oversampled grid) is one real FFT of each zero-padded
 row of Phi (``_dft_atoms``, which returns the bins too); arbitrary
 frequencies (the polish fits, ``oracle_ls``) take one GEMM on directly
-evaluated cos/sin samples (``_measured_atoms``).  The grid oracle scores
-every node of its uniform scan in float32, each chunk's atoms from a short
-power series about centres whose directly evaluated table (``_cis``) it
-rotates per chunk, and rescores the nodes near each residual's running
-best in float64 through ``_measured_atoms``, in batches, as the scan goes;
-nothing else leaves float64.  All feed the pair bases of
-``_orthonormal_pairs``, against which a residual is scored by its captured
-energy, and whose Gram ratios tell the oracle's float32 scoring which
-pairs it cannot trust.
+evaluated cos/sin samples (``_measured_atoms``).  All feed the pair bases
+of ``_orthonormal_pairs``, against which a residual is scored by its
+captured energy.  The grid oracle alone leaves float64: it scores every
+node of its uniform scan in float32 from a short power series about
+centres, whose directly evaluated table (``_cis``) it rotates per chunk,
+reading each node's pair Gram from its centre's, without forming the
+node's atoms; then it rescores the nodes near each residual's running best
+through ``_measured_atoms`` and ``_orthonormal_pairs``, in batches, as the
+scan goes.
 """
 
 from __future__ import annotations
@@ -187,22 +187,18 @@ def _dft_atoms(phi_entries: np.ndarray, length: int) -> tuple[np.ndarray, np.nda
     return omegas, spectrum.view(float).reshape(m, -1, 2)
 
 
-def _orthonormal_pairs(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Orthonormal basis (q0, q1) of each measured (cos, sin) pair in ``w``,
-    and each pair's Gram ratio det / trace^2 (0 for a zero pair).
+def _orthonormal_pairs(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal basis (q0, q1) of each measured (cos, sin) pair in ``w``.
 
-    ``w`` is M x C x 2 as from ``_measured_atoms`` or ``_dft_atoms``, float64
-    or float32, whose dtype the results keep; q0 and q1 are M x C.  Regular
-    pairs get Gram-Schmidt from the cosine column, so the captured energy
-    of a residual r is (q0 . r)^2 + (q1 . r)^2.  Degenerate pairs (ratio at
-    most _GRAM_DET_TOL, e.g. omega at 0 or pi where the sine column
+    ``w`` is M x C x 2 float64 as from ``_measured_atoms`` or
+    ``_dft_atoms``; q0 and q1 are M x C.  Regular pairs get Gram-Schmidt
+    from the cosine column, so the captured energy of a residual r is
+    (q0 . r)^2 + (q1 . r)^2.  Degenerate pairs (Gram ratio det / trace^2
+    at most _GRAM_DET_TOL, e.g. omega at 0 or pi where the sine column
     vanishes) keep only their dominant column, normalized, and a zero q1:
     the rank-1 fit of ``amplitude_ls``.  A zero dominant column gains
-    nothing.  The
-    estimator's grid round, the grid oracle and BOMP all take their pair
-    bases from here; the ratio is returned rather than a float32 threshold
-    taken, so the one rank rule stays here and only ``grid_oracle_batch``'s
-    float32 scoring, its one reader, knows which ratios float32 cannot trust.
+    nothing.  The estimator's grid round, the grid oracle's float64 stage
+    and BOMP all take their pair bases from here.
     """
     v = np.ascontiguousarray(w[..., 0])
     u = np.ascontiguousarray(w[..., 1])
@@ -217,10 +213,8 @@ def _orthonormal_pairs(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     q0 = v * inv_v
     q1 = q0 * -(guv * inv_v)
     q1 += u
-    # float32 can round a pair's ratio above _GRAM_DET_TOL while its sine part
-    # cancels to exactly zero: that q1 stays zero (float64 cannot reach this)
     norm_sq = np.where(regular, np.einsum("ij,ij->j", q1, q1), 1.0)
-    q1 *= np.divide(1.0, np.sqrt(norm_sq), out=np.zeros_like(norm_sq), where=norm_sq > 0)
+    q1 *= 1.0 / np.sqrt(norm_sq)
     degenerate = np.flatnonzero(~regular)
     if degenerate.size:
         use_u = guu[degenerate] >= gvv[degenerate]
@@ -228,7 +222,7 @@ def _orthonormal_pairs(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
         col = np.where(use_u, u[:, degenerate], v[:, degenerate])
         q0[:, degenerate] = np.divide(col, norm, out=np.zeros_like(col), where=norm > 0)
         q1[:, degenerate] = 0.0
-    return q0, q1, ratio
+    return q0, q1
 
 
 @functools.lru_cache(maxsize=1)
@@ -242,7 +236,7 @@ def _full_band(phi: SensingMatrix):
     a recycled id.
     """
     omegas, w = _dft_atoms(phi.entries, 2 * phi.n_cols)
-    q0, q1, _ = _orthonormal_pairs(w)
+    q0, q1 = _orthonormal_pairs(w)
     for x in (omegas, q0, q1):
         x.flags.writeable = False
     return omegas, q0, q1

@@ -42,6 +42,13 @@ def record_calls(monkeypatch, name):
     return calls
 
 
+def scored_nodes(calls):
+    """The B x nodes float32 energies and the nodes' ill mask, in node order,
+    of recorded ``_series_gains`` calls (each k x B x G and k x G)."""
+    gain = np.hstack([g.transpose(1, 0, 2).reshape(g.shape[1], -1) for _, (g, _) in calls])
+    return gain, np.concatenate([ill.ravel() for _, (_, ill) in calls])
+
+
 def assert_series_within_remainder(n, step, table, powers):
     # in float64, each centre's series table_c @ powers is exp(i w t) at its
     # group of nodes j * step within 2^-26, the bound its order is chosen by
@@ -196,6 +203,19 @@ class TestGridOracle:
         assert omegas[0] == omega
         assert s_vals[0] <= 1e-24 * float(r @ r)
 
+    def test_one_centre_per_chunk(self):
+        # at N = 512 and 420,001 nodes the plan puts a whole chunk about one
+        # centre (G = 512), whose series table must still be C-ordered
+        phi = gaussian_matrix(8, 512, seed=26)
+        grid = np.linspace(0.0, math.pi, 420_001)
+        table, powers = baselines._scan_series(phi.n_cols, grid[1], baselines._SCAN_CHUNK)
+        assert powers.shape[1] == baselines._SCAN_CHUNK and table.flags.c_contiguous
+        tones = grid[[123_457, 300_001]]
+        residuals = np.column_stack([build_atoms(phi, w) @ np.array([0.7, -0.4]) for w in tones])
+        omegas, s_vals = grid_oracle_batch(phi, residuals, grid.size)
+        np.testing.assert_array_equal(omegas, tones)
+        assert np.all(s_vals <= 1e-24 * np.einsum("ij,ij->j", residuals, residuals))
+
     @pytest.mark.filterwarnings("ignore:overflow encountered in ldexp:RuntimeWarning")
     @pytest.mark.parametrize(
         "scale", [1e200, 1e-200, 2.0**300, 2.0**-300], ids=["1e200", "1e-200", "2^300", "2^-300"]
@@ -234,39 +254,37 @@ class TestGridOracle:
     )
     def test_float32_stage_error_and_kept_set(self, phi, grid_size, monkeypatch):
         # the float32 energies the scan scores against: within a hundredth of
-        # the slack of float64 wherever the pair is well conditioned, and the
-        # nodes rescored in float64 always hold each column's float64 argmax
+        # the slack of float64 wherever the pair is not ill, and the nodes
+        # rescored in float64 always hold each column's float64 argmax
         rng = np.random.default_rng(17)
         tones = [build_atoms(phi, w) @ rng.normal(size=2) for w in rng.uniform(0.0, math.pi, 12)]
         residuals = np.column_stack([*rng.normal(size=(12, phi.m_rows)), *tones])
         plans = record_calls(monkeypatch, "_scan_series")
-        pair_calls = record_calls(monkeypatch, "_orthonormal_pairs")
+        gain_calls = record_calls(monkeypatch, "_series_gains")
         atom_calls = record_calls(monkeypatch, "_measured_atoms")
         omegas, _ = grid_oracle_batch(phi, residuals, grid_size)
         (args, (table, powers)), = plans
         assert_series_within_remainder(*args[:2], table, powers)
-        bases32 = [out for (w,), out in pair_calls if w.dtype == np.float32]
         kept = [nodes for (_, nodes), _ in atom_calls]
 
         scaled = np.ldexp(residuals, -np.frexp(np.max(np.abs(residuals), axis=0))[1])
         grid = np.linspace(0.0, math.pi, grid_size)
-        q0, q1, _ = estimator._orthonormal_pairs(estimator._measured_atoms(phi.entries, grid))
+        q0, q1 = estimator._orthonormal_pairs(estimator._measured_atoms(phi.entries, grid))
         gain64 = np.square(scaled.T @ q0) + np.square(scaled.T @ q1)
-        r32 = np.ascontiguousarray(scaled.T, dtype=np.float32)
         bound = baselines._F32_GAIN_SLACK / 100 * np.einsum("ij,ij->j", scaled, scaled)
-        # the first float32 call scores the spread nodes that seed each best,
-        # the others the chunks of the grid
+        # the first call scores the spread nodes that seed each best, the
+        # others the chunks of the grid, whose last centre may pass its end
         spread = slice(None, None, -(-grid_size // baselines._SCAN_CHUNK))
-        for bases, ref in (([bases32[0]], gain64[:, spread]), (bases32[1:], gain64)):
-            gain32 = np.hstack([np.square(r32 @ p0) + np.square(r32 @ p1) for p0, p1, _ in bases])
-            well = np.concatenate([ratio for _, _, ratio in bases]) > baselines._F32_GRAM_RATIO
-            assert gain32.shape == ref.shape
+        for calls, ref in ((gain_calls[:1], gain64[:, spread]), (gain_calls[1:], gain64)):
+            gain32, ill = scored_nodes(calls)
+            gain32, well = gain32[:, :ref.shape[1]], ~ill[:ref.shape[1]]
+            assert gain32.shape == ref.shape and gain32.dtype == np.float32
             assert np.all(np.abs(gain32 - ref)[:, well] <= bound[:, None])
         best = np.argmax(gain64, axis=1)
         assert max(nodes.size for nodes in kept) <= 2 * baselines._SCAN_CHUNK - 1
         kept = np.concatenate(kept)  # frequencies, not indices
         assert np.all(np.isin(grid[best], kept))
-        assert np.all(np.isin(grid[~well], kept))  # ill-conditioned: always rescored
+        assert np.all(np.isin(grid[~well], kept))  # ill pairs: always rescored
         np.testing.assert_array_equal(omegas, grid[best])
 
     @pytest.mark.parametrize(
@@ -283,30 +301,36 @@ class TestGridOracle:
         ids=["fine", "coarse", "band_ends"],
     )
     def test_series_atoms_within_float32_rounding(self, phi, grid_size, width, order, monkeypatch):
-        # the float32 atoms every chunk scores, against float64 direct
-        # evaluation at the same nodes: within a few float32 roundings of
-        # each row's sum |Phi|, after the scan's power-of-two scaling of Phi
+        # each node's pair Gram, read from its centre's series block, against
+        # the Gram of float64 direct evaluation at the same nodes: within what
+        # atoms off by a few float32 roundings of each row's sum |Phi| allow,
+        # after the scan's power-of-two scaling of Phi
         plans = record_calls(monkeypatch, "_scan_series")
-        pair_calls = record_calls(monkeypatch, "_orthonormal_pairs")
+        gram_calls = record_calls(monkeypatch, "_series_grams")
         residuals = np.random.default_rng(23).normal(size=(phi.m_rows, 3))
         grid_oracle_batch(phi, residuals, grid_size)
         (args, (table, powers)), = plans
         assert powers.shape == (order, width)
         assert_series_within_remainder(*args[:2], table, powers)
-        scored = [w for (w,), _ in pair_calls if w.dtype == np.float32][1:]  # [0]: the seed
-        scored = np.concatenate(scored, axis=1).astype(float)
+        # [0]: the seed; the last centre may pass the grid's end
+        grams = [np.concatenate([g.ravel() for g in out])[:grid_size]
+                 for out in zip(*(out for _, out in gram_calls[1:]))]
         entries = np.ldexp(phi.entries, -np.frexp(np.max(np.abs(phi.entries)))[1])
         direct = estimator._measured_atoms(entries, np.linspace(0.0, math.pi, grid_size))
-        assert scored.shape == direct.shape
-        err = np.max(np.abs(scored - direct), axis=(1, 2))
-        assert np.all(err <= 16 * 2.0**-24 * np.sum(np.abs(entries), axis=1))
+        v, u = direct[..., 0], direct[..., 1]
+        atom_err = np.linalg.norm(4 * 2.0**-24 * np.sum(np.abs(entries), axis=1))
+        for gram, x, y in zip(grams, (v, u, u), (v, v, u)):
+            ref = np.einsum("ij,ij->j", x, y)
+            assert gram.shape == ref.shape
+            norms = np.linalg.norm(x, axis=0) + np.linalg.norm(y, axis=0)
+            assert np.all(np.abs(gram - ref) <= atom_err * (norms + atom_err))
 
     @pytest.mark.filterwarnings("error")
     def test_single_row_every_pair_rank_one(self, monkeypatch):
         # with M = 1 every pair is rank-1, so every node captures all of r
-        # and the lowest index wins; float32 rounding may call such a pair
-        # regular and normalize 0 / 0, which must stay masked and silent.
-        # Every node is rescored, still in batches of fewer than two chunks.
+        # and the lowest index wins; the float32 stage calls every such pair
+        # ill, silently, without dividing by its zero determinant, so every
+        # node is rescored, still in batches of fewer than two chunks.
         batches, atoms = [], baselines._measured_atoms
         monkeypatch.setattr(
             baselines, "_measured_atoms", lambda e, w: batches.append(w.size) or atoms(e, w)
@@ -320,7 +344,7 @@ class TestGridOracle:
 
     def test_hundred_thousand_nodes_match_float64_reference(self):
         # tones inside the band and next to both ends, whose nearest nodes
-        # are ill-conditioned float32 pairs, against a float64 scan of every node
+        # the float32 stage calls ill, against a float64 scan of every node
         phi = gaussian_matrix(64, 128, seed=3)
         rng = np.random.default_rng(18)
         tones = (2e-5, 0.7, 1.9, 2.8, math.pi - 2e-5)
@@ -329,7 +353,7 @@ class TestGridOracle:
         gain = np.empty((len(tones), grid.size))
         for start in range(0, grid.size, 4096):
             nodes = grid[start:start + 4096]
-            q0, q1, _ = estimator._orthonormal_pairs(estimator._measured_atoms(phi.entries, nodes))
+            q0, q1 = estimator._orthonormal_pairs(estimator._measured_atoms(phi.entries, nodes))
             gain[:, start:start + nodes.size] = np.square(residuals.T @ q0)
             gain[:, start:start + nodes.size] += np.square(residuals.T @ q1)
         omegas, _ = grid_oracle_batch(phi, residuals, grid.size)

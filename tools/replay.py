@@ -17,8 +17,9 @@ The pools, all made from the seeds and input recipes of ``bench/workloads.py``
   10000 + i and matrix seeds 20000 + i, i < 300.
 
 It also prints the flagship, oracle_scan and low-M success counts (each
-workload's own gate) and every noisy job that fails or whose mds/oracle nl2
-ratio is above the benchmark's 1.5 gate.  Under each pool of recovers it
+workload's own gate), how many grid nodes the oracle scans rescored in
+float64, and every noisy job that fails or whose mds/oracle nl2 ratio is
+above the benchmark's 1.5 gate.  Under each pool of recovers it
 prints their outcomes: the ``stop_reason`` counts and how many results
 certify, that is fit the measurement m to ``final_residual_norm <=
 recovery._CERTIFIED_FIT * ||m||``; for flagship and low-M pools the
@@ -127,6 +128,23 @@ def pool(wl, rows, outcomes=None):
     return h.hexdigest(), successes
 
 
+def scan_pool(wl, baselines, rows):
+    """``pool`` over oracle_scan inputs, and how many nodes the scans rescored
+    in float64, counted by wrapping ``baselines._measured_atoms``, which only
+    that stage calls there."""
+    measured, nodes = baselines._measured_atoms, [0]
+
+    def counted(entries, omegas):
+        nodes[0] += len(omegas)
+        return measured(entries, omegas)
+
+    baselines._measured_atoms = counted
+    try:
+        return (*pool(wl, rows), nodes[0])
+    finally:
+        baselines._measured_atoms = measured
+
+
 def noisy_pool(wl, harness, rows, outcomes):
     """sha256 over the ``recover`` inside each sweep job, and the jobs
     (index, seed, why) that fail or are above the mds/oracle gate; each
@@ -167,14 +185,18 @@ def main(argv=None) -> None:
     api = workloads.public_api(cs, cli)
     recovery = sys.modules["cstones.recovery"]
     print(f"cstones from {Path(cs.__file__).parent}")
-    for workload in (workloads.Flagship, workloads.OracleScan):
-        for seed in SEEDS:
-            wl = workload(api)
-            outcomes = Outcomes(recovery) if workload is workloads.Flagship else None
-            digest, ok = pool(wl, workloads.seed_rows(seed, wl.pool_size, wl.seed_width), outcomes)
-            print(f"{wl.name + '/' + str(seed):17s}{digest}  successes {ok}/{wl.pool_size}")
-            if outcomes is not None:
-                outcomes.print()
+    for seed in SEEDS:
+        wl = workloads.Flagship(api)
+        outcomes = Outcomes(recovery)
+        digest, ok = pool(wl, workloads.seed_rows(seed, wl.pool_size, wl.seed_width), outcomes)
+        print(f"{wl.name + '/' + str(seed):17s}{digest}  successes {ok}/{wl.pool_size}")
+        outcomes.print()
+    for seed in SEEDS:
+        wl = workloads.OracleScan(api)
+        rows = workloads.seed_rows(seed, wl.pool_size, wl.seed_width)
+        digest, ok, nodes = scan_pool(wl, sys.modules["cstones.baselines"], rows)
+        print(f"{wl.name + '/' + str(seed):17s}{digest}  successes {ok}/{wl.pool_size}")
+        print(f"    rescored in float64: {nodes} nodes, {nodes / wl.pool_size:.1f} per scan")
     with tempfile.TemporaryDirectory() as scratch:
         for seed in SEEDS:
             wl = workloads.NoisySweep(api, scratch)
